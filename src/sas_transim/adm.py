@@ -12,11 +12,29 @@ together with the next Adomian polynomial of the coupling nonlinearity:
 
 where II is double integration from 0 and a = D/(2H). A_n is the nth
 Adomian polynomial: the lambda^n coefficient of f applied to the
-lambda-weighted term sum. The swing nonlinearity is a combination of
-cosines of pairwise angle differences, so the lambda expansion is carried
-exactly by a coupled sine/cosine recurrence over polynomial coefficients;
-no symbolic algebra is involved, and with the default degree cap nothing
-is ever truncated.
+lambda-weighted term sum x = sum_n lambda^n x_n.
+
+The coupling is Pe_i = sum_j Gc_ij cos(x_i - x_j) + Gs_ij sin(x_i - x_j).
+With S_i and C_i the lambda series of sin x_i and cos x_i, the identities
+cos(x_i - x_j) = C_i C_j + S_i S_j and sin(x_i - x_j) = S_i C_j - C_i S_j give
+
+    Pe_i = S_i V_i + C_i U_i,    (V, U) = [[Gc, Gs], [-Gs, Gc]] (S, C),
+
+so only per-machine series are expanded. Their lambda orders follow from
+sin' = cos x', cos' = -sin x' in lambda:
+
+    n S_n =  sum_{m<n} C_m * (n - m) x_{n-m}
+    n C_n = -sum_{m<n} S_m * (n - m) x_{n-m}
+
+with * the product of polynomials in t. This is the recursion of the
+differential transformation method (Liu, Sun, Yao and Wang, IEEE Trans.
+Power Syst., 2019). Each sum of products is formed as a sum of outer
+products and truncated once, so lambda order n of Pe costs
+O(n K p^2 + K p^3 + K^2 p) for K machines and p coefficients per
+polynomial. No symbolic algebra is involved, and the degree bound 2N
+exceeds every degree an N-term window reaches, so nothing is ever
+truncated. The same recurrence for one machine with constant orders gives
+the t-series of sin and cos of a polynomial.
 
 Everything here is pure and operates on immutable values; per-machine work
 inside one lambda order is data-parallel (vectorized over the machine axis).
@@ -27,6 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -71,10 +90,7 @@ class TruncatedSeries:
         return self.coeffs.size - 1
 
     def __call__(self, t: float) -> float:
-        acc = 0.0
-        for ck in self.coeffs[::-1]:
-            acc = acc * t + ck
-        return acc
+        return _polyval(self.coeffs, t)
 
     def __repr__(self):
         return f"TruncatedSeries({self.coeffs.tolist()})"
@@ -129,13 +145,7 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries,
     """Product truncated to ``max_degree`` (default: larger operand bound)."""
     if max_degree is None:
         max_degree = max(a.max_degree, b.max_degree)
-    out = np.zeros(max_degree + 1)
-    for i, ai in enumerate(a.coeffs):
-        if i > max_degree or ai == 0.0:
-            continue
-        hi = min(b.coeffs.size, max_degree + 1 - i)
-        out[i:i + hi] += ai * b.coeffs[:hi]
-    return TruncatedSeries(out)
+    return TruncatedSeries(np.convolve(a.coeffs, b.coeffs), max_degree=max_degree)
 
 
 def series_integrate(a: TruncatedSeries, order: int = 1) -> TruncatedSeries:
@@ -155,25 +165,16 @@ def series_differentiate(a: TruncatedSeries) -> TruncatedSeries:
 def sin_cos_of_series(u: TruncatedSeries) -> tuple[TruncatedSeries, TruncatedSeries]:
     """Sine and cosine of a polynomial, exact to the polynomial's degree.
 
-    Uses the coupled recurrence s' = v u', v' = -s u' seeded with the sine
-    and cosine of the constant term, integrated coefficient by coefficient.
+    The one-machine case of the lambda recurrence: taking u's t-coefficients
+    as constant lambda orders, the lambda orders of sin and cos are their
+    t-coefficients.
     """
-    c = u.coeffs
-    n = c.size
-    s = np.zeros(n)
-    v = np.zeros(n)
-    s[0] = math.sin(c[0])
-    v[0] = math.cos(c[0])
-    for k in range(n - 1):
-        acc_s = 0.0
-        acc_v = 0.0
-        for m in range(k + 1):
-            w = (k + 1 - m) * c[k + 1 - m]
-            acc_s += v[m] * w
-            acc_v -= s[m] * w
-        s[k + 1] = acc_s / (k + 1)
-        v[k + 1] = acc_v / (k + 1)
-    return TruncatedSeries(s), TruncatedSeries(v)
+    n = u.coeffs.size
+    x = u.coeffs.reshape(n, 1, 1)
+    sc = np.zeros((n, 2, 1, 1))
+    for m in range(n):
+        _sin_cos_order(sc, x, m)
+    return TruncatedSeries(sc[:, 0, 0, 0]), TruncatedSeries(sc[:, 1, 0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -262,14 +263,33 @@ class SwingRhsParams:
         return out
 
     @cached_property
+    def coupling(self) -> np.ndarray:
+        """G = [[Gc, Gs], [-Gs, Gc]], a (2K, 2K) block matrix with
+        Gc_ij = E_i E_j |Y_ij| cos(theta_ij) and Gs_ij likewise with sin.
+
+        It maps the stacked sines and cosines (S, C) of the machine angles to
+        (V, U) with Pe = S V + C U.
+        """
+        k = self.k
+        eey = np.outer(self.e, self.e) * self.network.y_mag
+        out = np.empty((2 * k, 2 * k))
+        out[:k, :k] = out[k:, k:] = eey * np.cos(self.network.y_ang)
+        out[:k, k:] = eey * np.sin(self.network.y_ang)
+        out[k:, :k] = -out[:k, k:]
+        out.setflags(write=False)
+        return out
+
+    @cached_property
     def eey_cos(self) -> np.ndarray:
-        out = np.outer(self.e, self.e) * self.network.y_mag * np.cos(self.network.y_ang)
+        """Gc, the cosine block of ``coupling``."""
+        out = self.coupling[:self.k, :self.k].copy()
         out.setflags(write=False)
         return out
 
     @cached_property
     def eey_sin(self) -> np.ndarray:
-        out = np.outer(self.e, self.e) * self.network.y_mag * np.sin(self.network.y_ang)
+        """Gs, the sine block of ``coupling``."""
+        out = self.coupling[:self.k, self.k:].copy()
         out.setflags(write=False)
         return out
 
@@ -312,39 +332,41 @@ def equilibrium_state(gens) -> MachineState:
 
 @lru_cache(maxsize=None)
 def _conv_table(p: int) -> np.ndarray:
-    """B[d, i, j] = 1 where i + j == d; contracts a truncated product."""
-    b = np.zeros((p, p, p))
+    """B[i * p + j, d] = 1 where i + j == d: maps the flattened outer
+    product of two p-coefficient polynomials to their truncated product."""
+    b = np.zeros((p * p, p))
     for i in range(p):
         for j in range(p - i):
-            b[i + j, i, j] = 1.0
+            b[i * p + j, i + j] = 1.0
     b.setflags(write=False)
     return b
 
 
-def _tconv(a: np.ndarray, b: np.ndarray, table: np.ndarray) -> np.ndarray:
-    return np.einsum("...p,...q,dpq->...d", a, b, table)
+def _truncated_product(subscripts: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Truncated t-products of ``a`` and ``b``, summed as ``subscripts`` says.
+
+    ``subscripts`` is an einsum spec whose output ends with the two t axes
+    (``...pq``); each outer product is summed first and truncated once.
+    """
+    outer = np.einsum(subscripts, a, b)
+    p = outer.shape[-1]
+    return outer.reshape(outer.shape[:-2] + (p * p,)) @ _conv_table(p)
 
 
-def _double_integral(c: np.ndarray) -> np.ndarray:
-    """c_k t^k -> c_k t^(k+2) / ((k+1)(k+2)), truncated at the array's cap."""
-    out = np.zeros_like(c)
-    n = c.shape[-1]
-    if n > 2:
-        k = np.arange(n - 2)
-        out[..., 2:] = c[..., :n - 2] / ((k + 1.0) * (k + 2.0))
-    return out
-
-
-def _single_integral(c: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(c)
-    n = c.shape[-1]
-    if n > 1:
-        out[..., 1:] = c[..., :n - 1] / np.arange(1.0, n)
-    return out
+@lru_cache(maxsize=None)
+def _index_factors(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """k for k = 1..p-1 and (k-1) k for k = 2..p-1: the factors by which
+    differentiation multiplies, and single and double integration divide,
+    p ascending coefficients."""
+    k = np.arange(1.0, p)
+    kk = k[:-1] * k[1:]
+    k.setflags(write=False)
+    kk.setflags(write=False)
+    return k, kk
 
 
 def _deriv_coeffs(c: np.ndarray) -> np.ndarray:
-    return c[..., 1:] * np.arange(1.0, c.shape[-1])
+    return c[..., 1:] * _index_factors(c.shape[-1])[0]
 
 
 def _polyval(c: np.ndarray, t) -> np.ndarray:
@@ -354,57 +376,41 @@ def _polyval(c: np.ndarray, t) -> np.ndarray:
     return acc
 
 
-class _TrigExpansion:
-    """Lambda-order expansion of sin/cos of all pairwise angle differences.
+def _sin_cos_order(sc: np.ndarray, x: np.ndarray, n: int):
+    """Fill ``sc[n]`` = (S_n, C_n), the lambda^n coefficients of the sine and
+    cosine of each machine's angle series.
 
-    Holds, per lambda order n, the (K, K, degree+1) coefficient arrays of
-    sin(w) and cos(w) where w_ij is the difference of machine angle series.
-    Orders extend incrementally through the coupled recurrence
-    (n) s_n = sum_m v_m (n-m) w_{n-m}, (n) v_n = -sum_m s_m (n-m) w_{n-m}.
+    ``x`` (orders, K, p) holds the angle series by lambda order, with x[0]
+    constant in t; ``sc`` (orders, 2, K, p) must hold orders below n. Order n
+    reads x[:n+1] only.
     """
-
-    def __init__(self, delta0: np.ndarray, p: int):
-        k = delta0.size
-        w0 = delta0[:, None] - delta0[None, :]
-        s0 = np.zeros((k, k, p))
-        c0 = np.zeros((k, k, p))
-        s0[..., 0] = np.sin(w0)
-        c0[..., 0] = np.cos(w0)
-        wc = np.zeros((k, k, p))
-        wc[..., 0] = w0
-        self.w = [wc]
-        self.sin = [s0]
-        self.cos = [c0]
-        self._table = _conv_table(p)
-
-    def extend(self, x_next: np.ndarray):
-        """Feed the next lambda order of the per-machine angle series (K, p)."""
-        self.w.append(x_next[:, None, :] - x_next[None, :, :])
-        n = len(self.sin)
-        acc_s = None
-        acc_c = None
-        for m in range(n):
-            scaled = (n - m) * self.w[n - m]
-            ds = _tconv(self.cos[m], scaled, self._table)
-            dc = _tconv(self.sin[m], scaled, self._table)
-            acc_s = ds if acc_s is None else acc_s + ds
-            acc_c = dc if acc_c is None else acc_c + dc
-        self.sin.append(acc_s / n)
-        self.cos.append(-acc_c / n)
-
-
-def _coupling_term(rhs: SwingRhsParams, trig: _TrigExpansion, n: int) -> np.ndarray:
-    """Lambda-order-n coefficient of Pe for every machine, shape (K, p)."""
-    return (np.einsum("ij,ijp->ip", rhs.eey_cos, trig.cos[n])
-            + np.einsum("ij,ijp->ip", rhs.eey_sin, trig.sin[n]))
-
-
-def _nonlinearity_order(rhs: SwingRhsParams, trig: _TrigExpansion, n: int) -> np.ndarray:
-    """A_n for every machine: lambda^n coefficient of gain * (Pm - Pe)."""
-    out = -rhs.gain[:, None] * _coupling_term(rhs, trig, n)
     if n == 0:
-        out[:, 0] += rhs.gain * rhs.pm
-    return out
+        sc[0, 0, :, 0] = np.sin(x[0, :, 0])
+        sc[0, 1, :, 0] = np.cos(x[0, :, 0])
+        return
+    dx = x[n:0:-1] * np.arange(n, 0, -1.0)[:, None, None]   # (n - m) x_{n-m}, m < n
+    acc = _truncated_product("mskp,mkq->skpq", sc[:n], dx)
+    sc[n, 0] = acc[1] / n
+    sc[n, 1] = -acc[0] / n
+
+
+def _nonlinearity_orders(rhs: SwingRhsParams, x: np.ndarray):
+    """Yield A_0, A_1, ... for every machine, each (K, p): the lambda^n
+    coefficients of gain * (Pm - Pe) along the angle series ``x``.
+
+    A_n reads x[:n+1] only, so a caller may fill x[n] after receiving A_{n-1}.
+    """
+    orders, k, p = x.shape
+    sc = np.zeros((orders, 2, k, p))
+    vu = np.zeros_like(sc)
+    for n in range(orders):
+        _sin_cos_order(sc, x, n)
+        vu[n] = (rhs.coupling @ sc[n].reshape(2 * k, p)).reshape(2, k, p)
+        pe = _truncated_product("mskp,mskq->kpq", sc[:n + 1], vu[n::-1])
+        a_n = -rhs.gain[:, None] * pe
+        if n == 0:
+            a_n[:, 0] += rhs.gain * rhs.pm
+        yield a_n
 
 
 # ---------------------------------------------------------------------------
@@ -433,26 +439,13 @@ class SasWindow:
     def k(self) -> int:
         return self.terms.shape[1]
 
-    def term(self, machine: int, order: int) -> TruncatedSeries:
-        return TruncatedSeries(self.terms[order, machine])
 
-    def sum_series(self, machine: int) -> TruncatedSeries:
-        return TruncatedSeries(self.sum_coeffs[machine])
-
-    def sum_deriv_series(self, machine: int) -> TruncatedSeries:
-        return TruncatedSeries(self.sum_deriv[machine])
-
-    def last_term_deriv_series(self, machine: int) -> TruncatedSeries:
-        return TruncatedSeries(self.last_term_deriv[machine])
-
-
-def derive_window(rhs: SwingRhsParams, state0: MachineState, n_terms: int,
-                  degree_cap: int | None = None, t_start: float = 0.0,
-                  window: float = math.inf) -> SasWindow:
+def derive_window(rhs: SwingRhsParams, state0: MachineState, n_terms: int, *,
+                  t_start: float = 0.0, window: float = math.inf) -> SasWindow:
     """Run the modified decomposition recursion from ``state0``.
 
-    ``n_terms`` >= 2 terms are produced per machine; the default degree cap
-    2 * n_terms exceeds the highest degree the recursion can reach, so the
+    ``n_terms`` >= 2 terms are produced per machine, each with 2 * n_terms + 1
+    coefficients: more than the highest degree the recursion reaches, so the
     polynomial arithmetic is exact. The window length only tags the result's
     validity range; the coefficients do not depend on it.
     """
@@ -460,30 +453,29 @@ def derive_window(rhs: SwingRhsParams, state0: MachineState, n_terms: int,
         raise ValidationError("need at least two terms (initial angle and speed)")
     if state0.k != rhs.k:
         raise ValidationError("state size does not match machine count")
-    m = 2 * n_terms if degree_cap is None else degree_cap
-    p = m + 1
-    k = rhs.k
-    x = np.zeros((n_terms, k, p))
+    p = 2 * n_terms + 1
+    x = np.zeros((n_terms, rhs.k, p))
     x[0, :, 0] = state0.delta
-    trig = _TrigExpansion(state0.delta, p)
+    x[1, :, 1] = state0.omega_dev
+    orders = _nonlinearity_orders(rhs, x)
     a_col = rhs.a[:, None]
+    ks, kk = _index_factors(p)
     # overflow to inf is caught by the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_terms - 1):
-            if n > 0:
-                trig.extend(x[n])
-            a_n = _nonlinearity_order(rhs, trig, n)
-            # -a II[dx_n/dt] realized as -a (I[x_n] - x_n(0) t): exact and cheap.
-            damp = _single_integral(x[n])
-            damp[:, 1] -= x[n, :, 0]
-            x[n + 1] = _double_integral(a_n) - a_col * damp
-            if n == 0:
-                x[1, :, 1] += state0.omega_dev
-            if not np.isfinite(x[n + 1]).all():
-                bad = int(np.argwhere(~np.isfinite(x[n + 1]))[0][0])
-                raise DivergenceError(
-                    f"non-finite series coefficient at term order {n + 1}, "
-                    f"machine {bad}", t=t_start, machine=bad)
+            a_n = next(orders)
+            # Add II[A_n] - a II[dx_n/dt] to x_{n+1} (x_1 already holds
+            # omega t); the damping part is -a (I[x_n] - x_n(0) t).
+            damp = x[n, :, :-1] / ks
+            damp[:, 0] -= x[n, :, 0]
+            x[n + 1, :, 2:] = a_n[:, :-2] / kk
+            x[n + 1, :, 1:] -= a_col * damp
+    bad = ~np.isfinite(x)
+    if bad.any():
+        order, machine = (int(i) for i in np.argwhere(bad)[0][:2])
+        raise DivergenceError(
+            f"non-finite series coefficient at term order {order}, "
+            f"machine {machine}", t=t_start, machine=machine)
     total = x.sum(axis=0)
     for arr in (x, total):
         arr.setflags(write=False)
@@ -542,20 +534,6 @@ class LambdaSeries:
     def from_window(cls, w: SasWindow) -> "LambdaSeries":
         return cls(w.terms)
 
-    @classmethod
-    def from_terms(cls, terms) -> "LambdaSeries":
-        """Build from nested [order][machine] lists of TruncatedSeries."""
-        orders = len(terms)
-        k = len(terms[0])
-        p = 1 + max(s.max_degree for row in terms for s in row)
-        out = np.zeros((orders, k, p))
-        for n, row in enumerate(terms):
-            if len(row) != k:
-                raise ValidationError("ragged machine axis in terms")
-            for i, s in enumerate(row):
-                out[n, i, :s.coeffs.size] = s.coeffs
-        return cls(out)
-
 
 def adomian_terms(rhs: SwingRhsParams, x_prev: LambdaSeries,
                   order: int) -> list[TruncatedSeries]:
@@ -570,9 +548,5 @@ def adomian_terms(rhs: SwingRhsParams, x_prev: LambdaSeries,
             f"order {order} exceeds stored lambda orders (0..{x_prev.n_orders - 1})")
     if x_prev.k != rhs.k:
         raise ValidationError("machine count mismatch")
-    p = x_prev.term_coeffs.shape[2]
-    trig = _TrigExpansion(x_prev.term_coeffs[0, :, 0], p)
-    for n in range(1, order + 1):
-        trig.extend(x_prev.term_coeffs[n])
-    a_n = _nonlinearity_order(rhs, trig, order)
+    a_n = next(islice(_nonlinearity_orders(rhs, x_prev.term_coeffs), order, None))
     return [TruncatedSeries(a_n[i]) for i in range(rhs.k)]

@@ -215,7 +215,6 @@ def _add_study_args(p):
     p.add_argument("--equilibrium", action="store_true",
                    help="estimate at the pre-fault equilibrium instead")
     p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--csv", action="store_true")
 
 
@@ -258,18 +257,12 @@ def cmd_hmin(args) -> int:
         machines = machines[:1] if args.machine is None else \
             [case.generators[case.generator_position(args.machine)]]
 
-    def one(g):
+    results = []
+    for g in machines:
         state = states.get(g.bus, states.get(None))
         inp = ra_inputs_for_machine(case, g.bus, state, args.iloa_max,
                                     reference=(kind, ref_bus))
-        return g.bus, estimate_hmin(inp, args.target_ra)
-
-    if args.jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(one, machines))
-    else:
-        results = [one(g) for g in machines]
+        results.append((g.bus, estimate_hmin(inp, args.target_ra)))
     _print_table(("machine", "H_min_s"), results, as_csv=args.csv)
     if args.fleet:
         bus, hmax = max(results, key=lambda r: r[1])

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import adm
-from .adm import MachineState, SasWindow, SwingRhsParams, derive_window, eval_window
+from .adm import MachineState, SasWindow, SwingRhsParams, derive_window
+from .adm import eval_window  # noqa: F401  (re-exported with the other window evaluators)
 from .errors import DivergenceError, ValidationError
 
 HANDOFF_MODES = ("analytic_derivative", "two_point")
@@ -38,7 +39,6 @@ class WindowConfig:
     adaptive: bool = False
     samples_per_window: int = 3
     handoff_mode: str = "analytic_derivative"
-    degree_cap: int | None = None
 
     def __post_init__(self):
         if self.t_init <= 0:
@@ -161,11 +161,20 @@ def i_loa(w: SasWindow, t_local: float) -> float:
     highest-order term's derivative at a window-local time."""
     if not (-1e-12 <= t_local <= w.T + 1e-12):
         raise ValidationError(f"t_local={t_local} outside window [0, {w.T}]")
-    return float(np.abs(adm._polyval(w.last_term_deriv, t_local)).max())
+    return float(_loa(w, t_local).max())
 
 
-def _i_loa_argmax(w: SasWindow, t_local: float) -> int:
-    return int(np.abs(adm._polyval(w.last_term_deriv, t_local)).argmax())
+def _loa(w: SasWindow, t_local) -> np.ndarray:
+    """Per-machine indicator magnitudes; a column of times gives one row each."""
+    return np.abs(adm._polyval(w.last_term_deriv, t_local))
+
+
+def _two_point_speed(w: SasWindow, t_cut: float, delta: np.ndarray) -> np.ndarray:
+    """Backward-difference speed over h = T/100 ending at ``t_cut``."""
+    h = w.T / 100.0
+    if not math.isfinite(h) or h <= 0:
+        raise ValidationError("two_point handoff needs a finite window length")
+    return (delta - adm._polyval(w.sum_coeffs, t_cut - h)) / h
 
 
 def handoff_state(w: SasWindow, t_cut: float, mode: str = "analytic_derivative") -> MachineState:
@@ -183,10 +192,7 @@ def handoff_state(w: SasWindow, t_cut: float, mode: str = "analytic_derivative")
     if mode == "analytic_derivative":
         omega = adm._polyval(w.sum_deriv, t_cut)
     else:
-        h = w.T / 100.0
-        if not math.isfinite(h) or h <= 0:
-            raise ValidationError("two_point handoff needs a finite window length")
-        omega = (delta - adm._polyval(w.sum_coeffs, t_cut - h)) / h
+        omega = _two_point_speed(w, t_cut, delta)
     return MachineState(delta, omega)
 
 
@@ -217,9 +223,9 @@ def simulate_sas(rhs: SwingRhsParams, state0: MachineState, horizon: float,
     if horizon <= 0:
         raise ValidationError("horizon must be positive")
     t_end = horizon
-    times = [t0]
-    deltas = [state0.delta]
-    omegas = [state0.omega_dev]
+    times = [np.array([t0])]
+    deltas = [state0.delta[None, :]]
+    omegas = [state0.omega_dev[None, :]]
     boundaries = []
     n_cuts = 0
     elapsed = 0.0
@@ -228,44 +234,41 @@ def simulate_sas(rhs: SwingRhsParams, state0: MachineState, horizon: float,
     eps = 1e-12 * max(1.0, horizon)
     while elapsed < t_end - eps:
         t_w = min(t_window, t_end - elapsed)
-        w = derive_window(rhs, state, cfg.n_terms, cfg.degree_cap,
-                          t_start=t0 + elapsed, window=t_w)
+        w = derive_window(rhs, state, cfg.n_terms, t_start=t0 + elapsed, window=t_w)
         samples = _sample_times(t_w, cfg)
-        cut = t_w
         if cfg.adaptive:
-            prev = 0.0
-            for ts in samples:
-                if i_loa(w, ts) > cfg.i_loa_max:
-                    if prev < cfg.t_init / 100.0:
-                        raise DivergenceError(
-                            "series window collapsed below t_init/100 at "
-                            f"t={t0 + elapsed + ts:.6g}s (machine {_i_loa_argmax(w, ts)}); "
-                            "raise n_terms or lower t_init",
-                            t=t0 + elapsed + ts, machine=_i_loa_argmax(w, ts))
-                    cut = prev
-                    n_cuts += 1
-                    break
-                prev = ts
-        for ts in samples:
-            if ts > cut + eps:
-                break
-            st = eval_window(w, ts)
-            times.append(t0 + elapsed + ts)
-            deltas.append(st.delta)
-            omegas.append(st.omega_dev)
-        state = handoff_state(w, cut, cfg.handoff_mode)
-        # Exact-polynomial continuity at the boundary: re-anchor the recorded
-        # sample at the cut to the handoff state (same numbers in analytic
-        # mode; two_point replaces the speed estimate).
-        deltas[-1] = state.delta
-        omegas[-1] = state.omega_dev
+            loa = _loa(w, samples[:, None])
+            over = np.flatnonzero(loa.max(axis=1) > cfg.i_loa_max)
+            if over.size:
+                first = int(over[0])
+                if first == 0 or samples[first - 1] < cfg.t_init / 100.0:
+                    ts = samples[first]
+                    machine = int(loa[first].argmax())
+                    raise DivergenceError(
+                        "series window collapsed below t_init/100 at "
+                        f"t={t0 + elapsed + ts:.6g}s (machine {machine}); "
+                        "raise n_terms or lower t_init",
+                        t=t0 + elapsed + ts, machine=machine)
+                samples = samples[:first]
+                n_cuts += 1
+        # The last sample kept is the cut; its state is handed to the next
+        # window, with the speed re-estimated in two_point mode.
+        cut = samples[-1]
+        delta = adm._polyval(w.sum_coeffs, samples[:, None])
+        omega = adm._polyval(w.sum_deriv, samples[:, None])
+        if cfg.handoff_mode == "two_point":
+            omega[-1] = _two_point_speed(w, cut, delta[-1])
+        state = MachineState(delta[-1], omega[-1])
+        times.append(t0 + elapsed + samples)
+        deltas.append(delta)
+        omegas.append(omega)
         elapsed += cut
         boundaries.append(t0 + elapsed)
         if cfg.adaptive and ra_fn is not None and cut < t_w:
             est = ra_fn(state)
             if est is not None and math.isfinite(est) and est > 0:
                 t_window = min(cfg.t_init, 0.8 * est)
-    return Trajectory(times=np.array(times), delta=np.array(deltas),
-                      omega_dev=np.array(omegas), source="sas",
+    return Trajectory(times=np.concatenate(times), delta=np.concatenate(deltas),
+                      omega_dev=np.concatenate(omegas), source="sas",
                       window_boundaries=np.array(boundaries),
                       adaptive_cuts=n_cuts)

@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from sas_transim import adm
 from sas_transim import (DivergenceError, LambdaSeries, MachineState,
                          ReducedNetwork, SwingRhsParams, TruncatedSeries,
                          ValidationError, adomian_terms, derive_window,
                          eval_window, series_add, series_differentiate,
                          series_integrate, series_mul, series_scale,
-                         sin_cos_of_series)
+                         equilibrium_state, sin_cos_of_series)
 from sas_transim.rk4 import IntegratorConfig, integrate
 
 OMEGA0 = 377.0
@@ -425,3 +426,84 @@ def test_window_determinism():
     w2 = derive_window(rhs, st, 5)
     assert np.array_equal(w1.terms, w2.terms)
     assert np.array_equal(w1.sum_coeffs, w2.sum_coeffs)
+
+
+# ---------------------------------------------------------------------------
+# Per-machine kernel against the pairwise formulation
+
+
+def pairwise_window_terms(rhs, state, n_terms):
+    """Reference recursion that expands sin and cos of every pairwise angle
+    difference w_ij = x_i - x_j by lambda order, with products taken
+    coefficient by coefficient; returns the (n_terms, K, 2 n_terms + 1)
+    terms."""
+    k, p = rhs.k, 2 * n_terms + 1
+
+    def conv(a, b):
+        out = np.zeros(a.shape)
+        for i in range(p):
+            out[..., i:] += a[..., i:i + 1] * b[..., :p - i]
+        return out
+
+    x = np.zeros((n_terms, k, p))
+    x[0, :, 0] = state.delta
+    x[1, :, 1] = state.omega_dev
+    w, sin_w, cos_w = [], [], []
+    for n in range(n_terms - 1):
+        w.append(x[n][:, None, :] - x[n][None, :, :])
+        if n == 0:
+            sin_w.append(np.zeros((k, k, p)))
+            cos_w.append(np.zeros((k, k, p)))
+            sin_w[0][..., 0] = np.sin(w[0][..., 0])
+            cos_w[0][..., 0] = np.cos(w[0][..., 0])
+        else:
+            sin_w.append(sum((n - m) * conv(cos_w[m], w[n - m]) for m in range(n)) / n)
+            cos_w.append(-sum((n - m) * conv(sin_w[m], w[n - m]) for m in range(n)) / n)
+        pe = (rhs.eey_cos[..., None] * cos_w[n]
+              + rhs.eey_sin[..., None] * sin_w[n]).sum(axis=1)
+        a_n = -rhs.gain[:, None] * pe
+        if n == 0:
+            a_n[:, 0] += rhs.gain * rhs.pm
+        # x_{n+1} = II[A_n] - a (I[x_n] - x_n(0) t)
+        ii = np.zeros((k, p))
+        ii[:, 2:] = a_n[:, :-2] / (np.arange(1.0, p - 1) * np.arange(2.0, p))
+        i1 = np.zeros((k, p))
+        i1[:, 1:] = x[n, :, :-1] / np.arange(1.0, p)
+        i1[:, 1] -= x[n, :, 0]
+        x[n + 1] += ii - rhs.a[:, None] * i1
+    return x
+
+
+def perturbed_states(case, count=5):
+    rng = np.random.default_rng(11)
+    eq = equilibrium_state(case.generators)
+    return [MachineState(eq.delta + rng.uniform(-0.5, 0.5, eq.k),
+                         rng.uniform(-3.0, 3.0, eq.k)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("case_name", ["ieee9", "ieee39"])
+def test_window_matches_pairwise_reference(request, case_name):
+    """The per-machine sin/cos factorization reproduces the pairwise
+    expansion to 1e-13 relative to each term's largest coefficient."""
+    case = request.getfixturevalue(f"{case_name}_case")
+    rhs = SwingRhsParams.from_case(case, "post_fault")
+    for st in perturbed_states(case):
+        for n_terms in (3, 5, 8):
+            got = derive_window(rhs, st, n_terms).terms
+            want = pairwise_window_terms(rhs, st, n_terms)
+            scale = np.abs(want).max(axis=2, keepdims=True)
+            assert (np.abs(got - want) <= 1e-13 * scale).all(), n_terms
+
+
+@pytest.mark.parametrize("case_name", ["ieee9", "ieee39"])
+def test_kernel_order0_coupling_is_electrical_power(request, case_name):
+    case = request.getfixturevalue(f"{case_name}_case")
+    rhs = SwingRhsParams.from_case(case, "post_fault")
+    for st in perturbed_states(case):
+        x = np.zeros((1, rhs.k, 3))
+        x[0, :, 0] = st.delta
+        a0 = next(adm._nonlinearity_orders(rhs, x))
+        assert np.all(a0[:, 1:] == 0.0)
+        pe = (rhs.gain * rhs.pm - a0[:, 0]) / rhs.gain
+        want = rhs.electrical_power(st.delta)
+        assert np.abs(pe - want).max() <= 1e-13 * np.abs(want).max()

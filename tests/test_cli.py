@@ -133,7 +133,7 @@ def test_ra_equilibrium_has_no_root(capsys):
 def test_hmin_fleet(capsys):
     rc, text, _ = run(capsys, "hmin", "ieee9", "--target-ra", "0.1",
                       "--iloa-max", "5", "--fleet", "--state", "worst",
-                      "--search-window", "0.8", "--jobs", "2")
+                      "--search-window", "0.8")
     assert rc == 0
     assert "fleet H_min" in text
 
