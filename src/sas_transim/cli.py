@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 input/validation problem, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -82,15 +83,17 @@ def _reference_arg(case, text):
     'gen:39', 'bus:1'. Default: the case's reference / largest-H machine."""
     if text is None:
         return ("gen", case.reference_bus)
-    if ":" in text:
-        kind, bus = text.split(":", 1)
-        if kind not in ("gen", "bus"):
-            raise ValidationError(f"--reference {text!r}: prefix must be gen: or bus:")
-        return (kind, int(bus))
-    bus = int(text)
-    if any(g.bus == bus for g in case.generators):
-        return ("gen", bus)
-    return ("bus", bus)
+    kind, bus = text.split(":", 1) if ":" in text else (None, text)
+    if kind not in (None, "gen", "bus"):
+        raise ValidationError(f"--reference {text!r}: prefix must be gen: or bus:")
+    try:
+        bus = int(bus)
+    except ValueError:
+        raise ValidationError(
+            f"--reference {text!r}: expected BUS, gen:BUS or bus:BUS") from None
+    if kind is None:
+        kind = "gen" if any(g.bus == bus for g in case.generators) else "bus"
+    return (kind, bus)
 
 
 def _initial_state(case, dt):
@@ -139,8 +142,7 @@ def cmd_simulate(args) -> int:
     else:
         window = args.window
         if window is None:
-            results = fleet_ra(case, state, args.iloa_max,
-                               reference=(kind, ref_bus) if kind == "gen" else ref_bus)
+            results = fleet_ra(case, state, args.iloa_max, reference=(kind, ref_bus))
             est = 0.8 * system_ra(results)
             window = min(est, args.horizon) if math.isfinite(est) else args.horizon
         cfg = WindowConfig(t_init=window, n_terms=args.n_terms,
@@ -218,21 +220,28 @@ def _add_study_args(p):
     p.add_argument("--csv", action="store_true")
 
 
+def _study_inputs(case, args, states, buses=None):
+    """(bus, RaInputs), lazily, of each machine at its study state against
+    --reference: the machines at ``buses``, by default every machine but a
+    generator reference."""
+    kind, ref_bus = _reference_arg(case, args.reference)
+    if buses is None:
+        buses = [g.bus for g in case.generators
+                 if not (kind == "gen" and g.bus == ref_bus)]
+    return ((bus, ra_inputs_for_machine(case, bus, states.get(bus, states.get(None)),
+                                        args.iloa_max, reference=(kind, ref_bus)))
+            for bus in buses)
+
+
 def cmd_ra(args) -> int:
     case = _load_case(args)
     states, _ = _study_state(case, args)
-    kind, ref_bus = _reference_arg(case, args.reference)
     rows = []
     ras = []
-    for g in case.generators:
-        if kind == "gen" and g.bus == ref_bus:
-            continue
-        state = states.get(g.bus, states.get(None))
-        inp = ra_inputs_for_machine(case, g.bus, state, args.iloa_max,
-                                    reference=(kind, ref_bus))
+    for bus, inp in _study_inputs(case, args, states):
         res = estimate_ra(inp)
         ras.append(res.r_a)
-        rows.append((g.bus, res.c1, res.c2,
+        rows.append((bus, res.c1, res.c2,
                      res.r_a if math.isfinite(res.r_a) else float("inf"),
                      res.closed_form_discrepancy, res.root_status))
     _print_table(("machine", "c1", "c2", "R_A", "eq_closed_form_disc", "root_status"),
@@ -250,19 +259,10 @@ def cmd_hmin(args) -> int:
     if args.target_ra <= 0:
         raise ValidationError("--target-ra must be positive")
     states, _ = _study_state(case, args)
-    kind, ref_bus = _reference_arg(case, args.reference)
-    machines = [g for g in case.generators
-                if not (kind == "gen" and g.bus == ref_bus)]
-    if not args.fleet:
-        machines = machines[:1] if args.machine is None else \
-            [case.generators[case.generator_position(args.machine)]]
-
-    results = []
-    for g in machines:
-        state = states.get(g.bus, states.get(None))
-        inp = ra_inputs_for_machine(case, g.bus, state, args.iloa_max,
-                                    reference=(kind, ref_bus))
-        results.append((g.bus, estimate_hmin(inp, args.target_ra)))
+    chosen = None if args.fleet or args.machine is None else [args.machine]
+    inputs = _study_inputs(case, args, states, chosen)
+    results = [(bus, estimate_hmin(inp, args.target_ra))
+               for bus, inp in itertools.islice(inputs, None if args.fleet else 1)]
     _print_table(("machine", "H_min_s"), results, as_csv=args.csv)
     if args.fleet:
         bus, hmax = max(results, key=lambda r: r[1])

@@ -20,6 +20,7 @@ import cmath
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 from importlib import resources
@@ -212,26 +213,32 @@ def _field(obj: dict, key: str, path: str, kind, default=...):
         if default is ...:
             raise CaseParseError(f"{path}.{key}: required field missing")
         return default
-    val = obj[key]
+    return _value(obj[key], f"{path}.{key}", kind)
+
+
+def _value(val, where: str, kind):
+    """``val`` checked as ``kind``; errors name the field at ``where``."""
     if kind is float:
         if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise CaseParseError(f"{path}.{key}: expected a number, got {val!r}")
+            raise CaseParseError(f"{where}: expected a number, got {val!r}")
+        if not abs(val) <= sys.float_info.max:   # also NaN and huge integers
+            raise CaseParseError(f"{where}: expected a finite number, got {val!r}")
         return float(val)
     if kind is int:
         if isinstance(val, bool) or not isinstance(val, int):
-            raise CaseParseError(f"{path}.{key}: expected an integer, got {val!r}")
+            raise CaseParseError(f"{where}: expected an integer, got {val!r}")
         return val
     if kind is bool:
         if not isinstance(val, bool):
-            raise CaseParseError(f"{path}.{key}: expected a boolean, got {val!r}")
+            raise CaseParseError(f"{where}: expected a boolean, got {val!r}")
         return val
     if kind is list:
         if not isinstance(val, list):
-            raise CaseParseError(f"{path}.{key}: expected a list, got {type(val).__name__}")
+            raise CaseParseError(f"{where}: expected a list, got {type(val).__name__}")
         return val
     if kind is str:
         if not isinstance(val, str):
-            raise CaseParseError(f"{path}.{key}: expected a string")
+            raise CaseParseError(f"{where}: expected a string")
         return val
     raise AssertionError(kind)
 
@@ -361,7 +368,7 @@ def parse_case(text) -> PowerSystemCase:
         for j, pair in enumerate(_field(ev, "trips", path, list, [])):
             if (not isinstance(pair, list)) or len(pair) != 2:
                 raise CaseParseError(f"{path}.trips[{j}]: expected [from_bus, to_bus]")
-            trips.append((int(pair[0]), int(pair[1])))
+            trips.append(tuple(_value(v, f"{path}.trips[{j}]", int) for v in pair))
         if fault_bus is not None and fault_bus not in id_set:
             raise CaseParseError(f"{path}.fault_bus: unknown bus {fault_bus}")
         if not (0 <= t_fault < t_clear):
@@ -383,8 +390,10 @@ def parse_case(text) -> PowerSystemCase:
         w = _field(st, "omega_dev", path, list)
         if len(d) != len(generators) or len(w) != len(generators):
             raise CaseParseError(f"{path}: delta/omega_dev must list one value per generator")
-        initial_delta = tuple(float(v) for v in d)
-        initial_omega = tuple(float(v) for v in w)
+        initial_delta = tuple(_value(v, f"{path}.delta[{i}]", float)
+                              for i, v in enumerate(d))
+        initial_omega = tuple(_value(v, f"{path}.omega_dev[{i}]", float)
+                              for i, v in enumerate(w))
 
     reference = _field(doc, "reference", "top level", int, None)
     if reference is not None and reference not in gen_buses:

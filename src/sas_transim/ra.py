@@ -4,9 +4,11 @@ How long can one series window stay accurate? For a machine against a
 reference node (a strong bus or a large machine's EMF), the third term of a
 three-term expansion is c1 t^4 + c2 t^3; its derivative is the
 loss-of-accuracy indicator, and the smallest positive R solving
-|4 c1 R^3 + 3 c2 R^2| = I_max is the maximum window of accuracy R_A.
-Inverting the same relation over the inertia gives the smallest H that
-achieves a desired R_A.
+|4 c1 R^3 + 3 c2 R^2| = I_max is the maximum window of accuracy R_A. It is
+the smallest positive real root of the two cubics 4 c1 R^3 + 3 c2 R^2 =
++-I_max (companion-matrix roots polished by two Newton steps); a root
+beyond 10 s counts as none, and R_A is then unbounded. Bisecting the same
+relation over the inertia gives the smallest H that achieves a desired R_A.
 
 c1 and c2 are read off the mechanically derived third term (the same
 recursion the simulator runs), not from a hand closed form; the closed form
@@ -28,8 +30,7 @@ from .errors import NumericalError, ValidationError
 from .netmodel import (PowerSystemCase, ReducedNetwork, augmented_ybus,
                        initialized_case, kron_reduce, reconstruct_voltages)
 
-_RA_SCAN_MAX = 10.0     # s; roots beyond this count as "no root"
-_RA_SCAN_POINTS = 4096
+_RA_MAX = 10.0     # s; indicator roots beyond this count as "no root"
 
 
 @dataclass(frozen=True)
@@ -110,30 +111,26 @@ def _closed_form_c1_c2(inp: RaInputs) -> tuple[float, float]:
 
 
 def _smallest_indicator_root(c1: float, c2: float, target: float):
-    """Smallest positive R with |4 c1 R^3 + 3 c2 R^2| = target, by a scan for
-    the first bracket followed by bisection. Returns (R, status)."""
+    """Smallest R in (0, 10 s] with |4 c1 R^3 + 3 c2 R^2| = target.
 
-    def mag(r):
-        return abs((4.0 * c1 * r + 3.0 * c2) * r * r)
-
-    rs = np.linspace(0.0, _RA_SCAN_MAX, _RA_SCAN_POINTS + 1)
-    vals = np.abs((4.0 * c1 * rs + 3.0 * c2) * rs * rs) - target
-    above = vals > 0
-    crossings = np.nonzero(above[1:] != above[:-1])[0]
-    upward = [i for i in crossings if not above[i] and above[i + 1]]
-    if not upward:
+    The candidates are the positive real roots of the two cubics
+    4 c1 R^3 + 3 c2 R^2 = +-target. Two Newton steps polish the smallest,
+    because companion-matrix roots lose digits when |c1| << |c2|. The
+    indicator starts at zero, below the target, and its crossings alternate
+    up and down, so a third root is a second upward crossing.
+    Returns (R, status).
+    """
+    roots = sorted(float(r.real) for level in (target, -target)
+                   for r in np.roots([4.0 * c1, 3.0 * c2, 0.0, -level])
+                   if r.imag == 0.0 and 0.0 < r.real <= _RA_MAX)
+    if not roots:
         return math.inf, "none"
-    lo, hi = rs[upward[0]], rs[upward[0] + 1]
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mag(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-16 * max(1.0, hi):
-            break
-    status = "unique_positive" if len(upward) == 1 else "smallest_positive_of_many"
-    return 0.5 * (lo + hi), status
+    r = roots[0]
+    level = math.copysign(target, (4.0 * c1 * r + 3.0 * c2) * r * r)
+    for _ in range(2):
+        r -= ((4.0 * c1 * r + 3.0 * c2) * r * r - level) / ((12.0 * c1 * r + 6.0 * c2) * r)
+    status = "unique_positive" if len(roots) < 3 else "smallest_positive_of_many"
+    return r, status
 
 
 def estimate_ra(inp: RaInputs) -> RaResult:
@@ -193,39 +190,67 @@ def estimate_hmin(inp: RaInputs, target_ra: float,
 # Reducing a full case to machine-versus-reference inputs
 
 
-def _reference_spec(case: PowerSystemCase, reference):
-    """Normalize a reference designation.
+def _reduce_around(case: PowerSystemCase, reference, epoch: str):
+    """Resolve a reference designation and reduce the network around it.
 
-    ``None`` picks the configured/largest-H generator's EMF node;
-    an integer names a network bus; ``("gen", bus)`` names a generator's
-    EMF node explicitly.
+    ``None`` picks the configured/largest-H generator's EMF node; an integer
+    names a network bus; ``("gen", bus)`` or ``("bus", bus)`` names either
+    explicitly. Every generator EMF node is kept, in generator order (an
+    eliminated source node would distort the couplings), and a reference bus
+    last. Returns the initialized case, the symmetrized reduced matrix, the
+    reference's row in it, its voltage magnitude in the case, and
+    ``motion_at(state)``: its magnitude, angle and angle rate at a state (see
+    :func:`ra_inputs_for_machine`).
     """
+    case = initialized_case(case)
     if reference is None:
-        return ("gen", case.reference_bus)
-    if isinstance(reference, tuple):
-        kind, bus = reference
-        if kind not in ("gen", "bus"):
-            raise ValidationError(f"unknown reference kind {kind!r}")
-        return (kind, int(bus))
-    return ("bus", int(reference))
-
-
-def _emf_node_reduction(case: PowerSystemCase, epoch: str, extra_bus: int | None):
-    """Reduce to all generator EMF nodes (plus optionally one kept bus).
-
-    Every EMF source node stays in the reduction: eliminating another
-    machine's internal node as if it were passive would distort the
-    couplings. Returns the reduced complex matrix; machine rows come first
-    in generator order, the kept bus (if any) last.
-    """
+        reference = ("gen", case.reference_bus)
+    kind, bus = reference if isinstance(reference, tuple) else ("bus", reference)
+    if kind not in ("gen", "bus"):
+        raise ValidationError(f"unknown reference kind {kind!r}")
+    bus = int(bus)
     aug, internal = augmented_ybus(case, epoch)
-    keep = list(internal)
-    if extra_bus is not None:
-        if extra_bus not in case.bus_index:
-            raise ValidationError(f"unknown bus {extra_bus}")
-        keep.append(case.bus_index[extra_bus])
+    if kind == "gen":
+        ref = case.generator_position(bus)
+        keep, e_ref = internal, case.generators[ref].E
+
+        def motion_at(state):
+            return e_ref, float(state.delta[ref]), float(state.omega_dev[ref])
+    else:
+        if bus not in case.bus_index:
+            raise ValidationError(f"unknown bus {bus}")
+        ref, node = case.k, case.bus_index[bus]
+        keep, e_ref = internal + [node], case.buses[node].voltage_mag
+
+        def motion_at(state):
+            emf = np.array([g.E * cmath.exp(1j * d)
+                            for g, d in zip(case.generators, state.delta)])
+            v_ref = reconstruct_voltages(aug, internal, emf)[node]
+            return float(abs(v_ref)), float(cmath.phase(v_ref)), 0.0
     red = kron_reduce(aug, keep)
-    return 0.5 * (red + red.T)
+    return case, 0.5 * (red + red.T), ref, float(e_ref), motion_at
+
+
+def _machine_position(case: PowerSystemCase, machine: int, ref: int) -> int:
+    pos = case.generator_position(machine)
+    if pos == ref:
+        raise ValidationError("reference node coincides with the machine node")
+    return pos
+
+
+def _machine_inputs(case, y, ref, pos, state, motion, i_loa_max) -> RaInputs:
+    """Inputs of the machine at ``pos``, given the reference's ``motion``
+    (magnitude, angle, angle rate) at ``state``."""
+    gen = case.generators[pos]
+    e_inf, d_ref, dd_ref = motion
+    return RaInputs(
+        h=gen.H, d=gen.D, omega0=case.omega0, pm=gen.Pm, e=gen.E,
+        g=float(y[pos, pos].real), e_inf=e_inf, y=float(abs(y[pos, ref])),
+        theta=float(cmath.phase(y[pos, ref])),
+        delta0_machine=float(state.delta[pos]),
+        ddelta0_machine=float(state.omega_dev[pos]),
+        delta0_ref=d_ref, ddelta0_ref=dd_ref, i_loa_max=i_loa_max,
+    )
 
 
 def transfer_admittance(case: PowerSystemCase, machine: int, reference_node=None,
@@ -239,21 +264,9 @@ def transfer_admittance(case: PowerSystemCase, machine: int, reference_node=None
     reference node's voltage magnitude (internal EMF for a generator
     reference, case power-flow value for a bus).
     """
-    case = initialized_case(case)
-    kind, ref_bus = _reference_spec(case, reference_node)
-    pos = case.generator_position(machine)
-    if kind == "gen":
-        rpos = case.generator_position(ref_bus)
-        if rpos == pos:
-            raise ValidationError("reference node coincides with the machine node")
-        red = _emf_node_reduction(case, epoch, None)
-        y = red[pos, rpos]
-        e_inf = case.generators[rpos].E
-    else:
-        red = _emf_node_reduction(case, epoch, ref_bus)
-        y = red[pos, -1]
-        e_inf = case.buses[case.bus_index[ref_bus]].voltage_mag
-    return float(abs(y)), float(cmath.phase(y)), float(e_inf)
+    case, y, ref, e_ref, _ = _reduce_around(case, reference_node, epoch)
+    y12 = y[_machine_position(case, machine, ref), ref]
+    return float(abs(y12)), float(cmath.phase(y12)), e_ref
 
 
 def ra_inputs_for_machine(case: PowerSystemCase, machine: int,
@@ -266,41 +279,9 @@ def ra_inputs_for_machine(case: PowerSystemCase, machine: int,
     own dynamic state; a bus reference contributes the bus voltage phasor
     reconstructed from the machine EMFs at ``state``, with zero drift.
     """
-    case = initialized_case(case)
-    kind, ref_bus = _reference_spec(case, reference)
-    pos = case.generator_position(machine)
-    gen = case.generators[pos]
-
-    if kind == "gen":
-        rpos = case.generator_position(ref_bus)
-        if rpos == pos:
-            raise ValidationError("reference node coincides with the machine node")
-        red = _emf_node_reduction(case, epoch, None)
-        y12 = red[pos, rpos]
-        g_self = float(red[pos, pos].real)
-        e_inf = case.generators[rpos].E
-        d_ref = float(state.delta[rpos])
-        dd_ref = float(state.omega_dev[rpos])
-    else:
-        red = _emf_node_reduction(case, epoch, ref_bus)
-        y12 = red[pos, -1]
-        g_self = float(red[pos, pos].real)
-        aug, internal = augmented_ybus(case, epoch)
-        emf = np.array([g.E * cmath.exp(1j * d)
-                        for g, d in zip(case.generators, state.delta)])
-        volts = reconstruct_voltages(aug, internal, emf)
-        v_ref = volts[case.bus_index[ref_bus]]
-        e_inf = float(abs(v_ref))
-        d_ref = float(cmath.phase(v_ref))
-        dd_ref = 0.0
-
-    return RaInputs(
-        h=gen.H, d=gen.D, omega0=case.omega0, pm=gen.Pm, e=gen.E,
-        g=g_self, e_inf=e_inf, y=float(abs(y12)), theta=float(cmath.phase(y12)),
-        delta0_machine=float(state.delta[pos]),
-        ddelta0_machine=float(state.omega_dev[pos]),
-        delta0_ref=d_ref, ddelta0_ref=dd_ref, i_loa_max=i_loa_max,
-    )
+    case, y, ref, _, motion_at = _reduce_around(case, reference, epoch)
+    return _machine_inputs(case, y, ref, _machine_position(case, machine, ref),
+                           state, motion_at(state), i_loa_max)
 
 
 def fleet_ra(case: PowerSystemCase, state: MachineState, i_loa_max: float,
@@ -308,23 +289,22 @@ def fleet_ra(case: PowerSystemCase, state: MachineState, i_loa_max: float,
     """Per-machine accuracy windows; the system window is their minimum.
 
     Returns a list of (bus, RaInputs, RaResult), skipping the reference
-    machine when the reference is a generator EMF node.
+    machine when the reference is a generator EMF node. The network is
+    reduced, and the reference's motion found, once per call.
     """
-    case = initialized_case(case)
-    kind, ref_bus = _reference_spec(case, reference)
-    buses = [g.bus for g in case.generators
-             if not (kind == "gen" and g.bus == ref_bus)]
+    case, y, ref, _, motion_at = _reduce_around(case, reference, epoch)
+    motion = motion_at(state)
 
-    def one(bus):
-        inp = ra_inputs_for_machine(case, bus, state, i_loa_max,
-                                    reference=(kind, ref_bus), epoch=epoch)
-        return bus, inp, estimate_ra(inp)
+    def one(pos):
+        inp = _machine_inputs(case, y, ref, pos, state, motion, i_loa_max)
+        return case.generators[pos].bus, inp, estimate_ra(inp)
 
+    positions = [pos for pos in range(case.k) if pos != ref]
     if jobs > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(one, buses))
-    return [one(b) for b in buses]
+            return list(pool.map(one, positions))
+    return [one(pos) for pos in positions]
 
 
 def system_ra(results) -> float:

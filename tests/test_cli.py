@@ -130,6 +130,13 @@ def test_ra_equilibrium_has_no_root(capsys):
     assert "unbounded" in text
 
 
+@pytest.mark.parametrize("text", ["abc", "gen:x", "bus:", "node:3"])
+def test_ra_rejects_bad_reference_text(capsys, text):
+    rc, _, err = run(capsys, "ra", "ieee9", "--reference", text)
+    assert rc == 1
+    assert "--reference" in err and "Traceback" not in err
+
+
 def test_hmin_fleet(capsys):
     rc, text, _ = run(capsys, "hmin", "ieee9", "--target-ra", "0.1",
                       "--iloa-max", "5", "--fleet", "--state", "worst",

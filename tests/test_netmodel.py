@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -110,6 +111,46 @@ def test_parse_rejects_unknown_trip():
 def test_parse_rejects_disconnected_post_fault_network():
     doc = minimal_doc(events={"fault_bus": 1, "t_clear": 0.1, "trips": [[1, 2]]})
     with pytest.raises(CaseParseError, match="not connected"):
+        parse_case(doc)
+
+
+@pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN", "1" + "0" * 400])
+@pytest.mark.parametrize("field, keys", [
+    ("generators[0].H", ("generators", 0, "H")),
+    ("generators[1].xdp", ("generators", 1, "xdp")),
+    ("branches[0].x", ("branches", 0, "x")),
+    ("events.t_clear", ("events", "t_clear")),
+])
+def test_parse_rejects_non_finite_numbers(field, keys, literal):
+    """JSON text may spell Infinity and NaN, and an integer literal may lie
+    beyond the float range; each is refused with the field's name."""
+    doc = minimal_doc(events={"fault_bus": 1, "t_clear": 0.1})
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = "@"
+    text = json.dumps(doc).replace('"@"', literal)
+    with pytest.raises(CaseParseError, match=f"{re.escape(field)}: expected a finite"):
+        parse_case(text)
+
+
+@pytest.mark.parametrize("where, entry, message", [
+    ("events.trips[0]", ["a", 2], "expected an integer, got 'a'"),
+    ("events.trips[0]", [1, 2.7], "expected an integer, got 2.7"),
+    ("events.trips[0]", [True, 2], "expected an integer, got True"),
+    ("initial_state.delta[1]", "x", "expected a number, got 'x'"),
+    ("initial_state.delta[1]", True, "expected a number, got True"),
+    ("initial_state.omega_dev[1]", math.nan, "expected a finite number"),
+])
+def test_parse_checks_list_entries(where, entry, message):
+    """List entries follow the same integer and number rules as fields."""
+    if where.startswith("events"):
+        doc = minimal_doc(events={"fault_bus": 1, "t_clear": 0.1, "trips": [entry]})
+    else:
+        values = {"delta": [0.0, 0.1], "omega_dev": [0.0, 0.0]}
+        values[where.split(".")[1].split("[")[0]][1] = entry
+        doc = minimal_doc(initial_state=values)
+    with pytest.raises(CaseParseError, match=re.escape(f"{where}: {message}")):
         parse_case(doc)
 
 

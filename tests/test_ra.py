@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from sas_transim import (MachineState, NumericalError, RaInputs,
                          ReducedNetwork, SwingRhsParams, ValidationError,
                          equilibrium_state, estimate_hmin, estimate_ra,
                          mode_periods, transfer_admittance)
-from sas_transim.ra import fleet_ra, system_ra
+from sas_transim.ra import (_smallest_indicator_root, fleet_ra,
+                            ra_inputs_for_machine, system_ra)
+from sas_transim.rk4 import IntegratorConfig, fault_on_bootstrap
 
 from test_adm import OMEGA0, table1_rhs
 
@@ -71,6 +74,69 @@ def test_ra_cubic_residual_invariant():
         assert resid < 1e-9, (inp, res)
         checked += 1
     assert checked > 15
+
+
+def _indicator_crossings(c1, c2, target, cap=10.0):
+    """Every R in (0, cap] with |4 c1 R^3 + 3 c2 R^2| = target.
+
+    An independent reference for the root finder: the cubic is monotone on
+    each side of its turning point -c2 / (2 c1), so each level +-target is
+    crossed at most once per piece, and bisection brackets that crossing
+    down to adjacent floats.
+    """
+    def g(r):
+        return (4.0 * c1 * r + 3.0 * c2) * r * r
+
+    knots = [0.0, cap]
+    if c1 != 0.0 and 0.0 < -c2 / (2.0 * c1) < cap:
+        knots.insert(1, -c2 / (2.0 * c1))
+    roots = []
+    for a, b in zip(knots, knots[1:]):
+        for level in (target, -target):
+            if (g(a) - level) * (g(b) - level) > 0.0:
+                continue
+            below, above = (a, b) if g(a) < level else (b, a)
+            while (mid := 0.5 * (below + above)) not in (below, above):
+                if g(mid) < level:
+                    below = mid
+                else:
+                    above = mid
+            roots.append(mid)
+    return sorted(roots)
+
+
+NARROW_DIP = (2222.198363919919, -5632.584664090367, 9.752851846097373)
+
+
+def test_indicator_root_matches_reference():
+    """Seeded (c1, c2, I_max) with |c1|, |c2| over 1e-3..1e4: the root agrees
+    with the bisection reference to 1e-13 relative, satisfies its equation
+    in exact arithmetic to 1e-14 of the larger cubic term, and its status
+    counts the reference's crossings. The narrow-dip draw dips
+    below I_max for 0.6 ms near 1.9 s and crosses upward again."""
+    rng = np.random.default_rng(17)
+    signs = rng.choice([-1.0, 1.0], size=(1500, 2))
+    mags = 10.0 ** rng.uniform(-3.0, 4.0, size=(1500, 2))
+    targets = 10.0 ** rng.uniform(-0.5, 1.0, size=1500)
+    draws = [NARROW_DIP] + [(float(a), float(b), float(t))
+                            for (a, b), t in zip(signs * mags, targets)]
+    counts = {"none": 0, "unique_positive": 0, "smallest_positive_of_many": 0}
+    for c1, c2, target in draws:
+        r_a, status = _smallest_indicator_root(c1, c2, target)
+        roots = _indicator_crossings(c1, c2, target)
+        counts[status] += 1
+        if not roots:
+            assert status == "none" and math.isinf(r_a), (c1, c2, target)
+            continue
+        assert r_a == pytest.approx(roots[0], rel=1e-13, abs=0.0), (c1, c2, target)
+        assert status == ("unique_positive" if len(roots) < 3
+                          else "smallest_positive_of_many"), (c1, c2, target, roots)
+        r, a, b, t = map(Fraction, (r_a, 4.0 * c1, 3.0 * c2, target))
+        resid = abs(abs((a * r + b) * r * r) - t)
+        assert resid <= 1e-14 * max(abs(a * r ** 3), abs(b * r * r), t)
+    assert all(counts.values()), counts
+    assert _smallest_indicator_root(*NARROW_DIP)[1] == "smallest_positive_of_many"
+    assert len(_indicator_crossings(*NARROW_DIP)) == 3
 
 
 def test_ra_monotone_in_inertia():
@@ -214,6 +280,35 @@ def test_fleet_ra_skips_reference_and_takes_min(ieee9_case):
     assert sys_ra == min(r.r_a for _, _, r in results)
     jobs = fleet_ra(ieee9_case, state, i_loa_max=5.0, jobs=2)
     assert [(b, r.r_a) for b, _, r in jobs] == [(b, r.r_a) for b, _, r in results]
+
+
+@pytest.mark.parametrize("reference", [("gen", 2), ("bus", 5), 7])
+def test_fleet_ra_equals_per_machine_path(ieee9_case, reference):
+    """One reduction per fleet call gives exactly the per-machine inputs and
+    results, for generator and bus references alike."""
+    state, _ = fault_on_bootstrap(ieee9_case, IntegratorConfig(dt=1e-3))
+    fleet = fleet_ra(ieee9_case, state, i_loa_max=5.0, reference=reference)
+    assert [b for b, _, _ in fleet] == [g.bus for g in ieee9_case.generators
+                                        if reference != ("gen", g.bus)]
+    for bus, inp, res in fleet:
+        want = ra_inputs_for_machine(ieee9_case, bus, state, 5.0, reference=reference)
+        assert inp == want
+        assert res == estimate_ra(want)
+
+
+def test_bus_reference_reconstructs_power_flow_voltage(ieee39_case):
+    """At the pre-fault equilibrium the bus voltage rebuilt from the machine
+    EMFs is the case's solved power-flow phasor (ieee39 ships its power flow
+    at full precision), and it does not drift."""
+    eq = equilibrium_state(ieee39_case.generators)
+    for bus in ieee39_case.buses[:29]:   # buses 1..29 carry no generator
+        inp = ra_inputs_for_machine(ieee39_case, 30, eq, 5.0, reference=("bus", bus.id),
+                                    epoch="pre_fault")
+        assert inp.e_inf == pytest.approx(bus.voltage_mag, abs=1e-12)
+        assert inp.delta0_ref == pytest.approx(bus.voltage_ang, abs=1e-12)
+        assert inp.ddelta0_ref == 0.0
+    y, theta, e_inf = transfer_admittance(ieee39_case, 30, ("bus", 29), "pre_fault")
+    assert (y, theta, e_inf) == (inp.y, inp.theta, bus.voltage_mag)
 
 
 # ---------------------------------------------------------------------------
