@@ -263,40 +263,34 @@ class SwingRhsParams:
         return out
 
     @cached_property
+    def _blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """(Gc, Gs) with Gc_ij = E_i E_j |Y_ij| cos(theta_ij) and Gs_ij
+        likewise with sin; contiguous, because ``electrical_power`` runs
+        measurably slower on strided blocks of ``coupling``."""
+        eey = np.outer(self.e, self.e) * self.network.y_mag
+        gc = eey * np.cos(self.network.y_ang)
+        gs = eey * np.sin(self.network.y_ang)
+        gc.setflags(write=False)
+        gs.setflags(write=False)
+        return gc, gs
+
+    @cached_property
     def coupling(self) -> np.ndarray:
-        """G = [[Gc, Gs], [-Gs, Gc]], a (2K, 2K) block matrix with
-        Gc_ij = E_i E_j |Y_ij| cos(theta_ij) and Gs_ij likewise with sin.
+        """G = [[Gc, Gs], [-Gs, Gc]], a (2K, 2K) block matrix.
 
         It maps the stacked sines and cosines (S, C) of the machine angles to
         (V, U) with Pe = S V + C U.
         """
-        k = self.k
-        eey = np.outer(self.e, self.e) * self.network.y_mag
-        out = np.empty((2 * k, 2 * k))
-        out[:k, :k] = out[k:, k:] = eey * np.cos(self.network.y_ang)
-        out[:k, k:] = eey * np.sin(self.network.y_ang)
-        out[k:, :k] = -out[:k, k:]
-        out.setflags(write=False)
-        return out
-
-    @cached_property
-    def eey_cos(self) -> np.ndarray:
-        """Gc, the cosine block of ``coupling``."""
-        out = self.coupling[:self.k, :self.k].copy()
-        out.setflags(write=False)
-        return out
-
-    @cached_property
-    def eey_sin(self) -> np.ndarray:
-        """Gs, the sine block of ``coupling``."""
-        out = self.coupling[:self.k, self.k:].copy()
+        gc, gs = self._blocks
+        out = np.block([[gc, gs], [-gs, gc]])
         out.setflags(write=False)
         return out
 
     def electrical_power(self, delta: np.ndarray) -> np.ndarray:
         """Pe per machine at the given angle vector."""
+        gc, gs = self._blocks
         dd = delta[:, None] - delta[None, :]
-        return (self.eey_cos * np.cos(dd) + self.eey_sin * np.sin(dd)).sum(axis=1)
+        return (gc * np.cos(dd) + gs * np.sin(dd)).sum(axis=1)
 
     def acceleration(self, delta: np.ndarray, omega_dev: np.ndarray) -> np.ndarray:
         """d omega_dev / dt at the given state."""

@@ -128,8 +128,8 @@ def _print_table(header, rows, as_csv, out=None):
 
 def cmd_simulate(args) -> int:
     case = _load_case(args)
-    if args.horizon <= 0:
-        raise ValidationError("--horizon must be positive")
+    if not (args.horizon > 0 and math.isfinite(args.horizon)):
+        raise ValidationError("--horizon must be positive and finite")
     state, t0 = _initial_state(case, args.dt)
     rhs = SwingRhsParams.from_case(case, "post_fault")
     kind, ref_bus = _reference_arg(case, args.reference)
@@ -256,13 +256,15 @@ def cmd_ra(args) -> int:
 
 def cmd_hmin(args) -> int:
     case = _load_case(args)
-    if args.target_ra <= 0:
+    if not (args.target_ra > 0):
         raise ValidationError("--target-ra must be positive")
     states, _ = _study_state(case, args)
     chosen = None if args.fleet or args.machine is None else [args.machine]
     inputs = _study_inputs(case, args, states, chosen)
     results = [(bus, estimate_hmin(inp, args.target_ra))
                for bus, inp in itertools.islice(inputs, None if args.fleet else 1)]
+    if not results:
+        raise ValidationError("no generator other than the reference is left to estimate")
     _print_table(("machine", "H_min_s"), results, as_csv=args.csv)
     if args.fleet:
         bus, hmax = max(results, key=lambda r: r[1])

@@ -22,6 +22,10 @@ from .errors import DivergenceError, ValidationError
 
 HANDOFF_MODES = ("analytic_derivative", "two_point")
 
+# Windows one simulation may derive; a horizon that could need more (at the
+# shortest window an adaptive cut leaves, t_init/100) is refused up front.
+MAX_WINDOWS = 10 ** 5
+
 
 @dataclass(frozen=True)
 class WindowConfig:
@@ -41,9 +45,9 @@ class WindowConfig:
     handoff_mode: str = "analytic_derivative"
 
     def __post_init__(self):
-        if self.t_init <= 0:
+        if not (self.t_init > 0):
             raise ValidationError("t_init must be positive")
-        if self.i_loa_max <= 0:
+        if not (self.i_loa_max > 0):
             raise ValidationError("i_loa_max must be positive")
         if self.adaptive and self.n_terms < 3:
             raise ValidationError("the accuracy indicator needs at least 3 terms")
@@ -218,10 +222,17 @@ def simulate_sas(rhs: SwingRhsParams, state0: MachineState, horizon: float,
     at a sample point is truncated at the previous sample; a cut collapsing
     below t_init/100 raises, suggesting more terms or a shorter window.
     ``ra_fn`` (state -> accuracy window estimate), when given, re-tunes the
-    window length after each adaptive cut.
+    window length after each adaptive cut. A horizon that could need more
+    than ``MAX_WINDOWS`` windows is refused.
     """
-    if horizon <= 0:
-        raise ValidationError("horizon must be positive")
+    if not (horizon > 0 and math.isfinite(horizon)):
+        raise ValidationError(f"horizon must be positive and finite, got {horizon!r}")
+    shortest = cfg.t_init / 100.0 if cfg.adaptive else cfg.t_init
+    if horizon / shortest > MAX_WINDOWS:
+        raise ValidationError(
+            f"horizon {horizon:g} s at t_init {cfg.t_init:g} s"
+            f"{' (adaptive cuts to t_init/100)' if cfg.adaptive else ''} needs up to "
+            f"{horizon / shortest:.3g} windows, more than MAX_WINDOWS = {MAX_WINDOWS}")
     t_end = horizon
     times = [np.array([t0])]
     deltas = [state0.delta[None, :]]

@@ -11,7 +11,9 @@ reduced admittance matrix among generator EMF nodes is what the swing
 equations run on.
 
 All values are immutable after construction; every operation here is a pure
-function, safe to call concurrently.
+function, safe to call concurrently. A case computes its verified
+initialization and its EMF-node reductions once and keeps them: they are
+derived values that never change.
 """
 
 from __future__ import annotations
@@ -146,6 +148,28 @@ class PowerSystemCase:
         if self.reference is not None:
             return self.reference
         return max(self.generators, key=lambda g: g.H).bus
+
+    @cached_property
+    def _emf_networks(self) -> dict[str, np.ndarray]:
+        # Per-epoch reductions; shared with the initialized copy, since E,
+        # delta0 and Pm enter no admittance entry.
+        return {}
+
+    def emf_admittance(self, epoch: str) -> np.ndarray:
+        """Admittance among the generator EMF nodes for one epoch, in
+        generator order, symmetrized (read-only; reduced once per case).
+
+        Concurrent first calls may each reduce; they store equal matrices.
+        """
+        y = self._emf_networks.get(epoch)
+        if y is None:
+            aug, internal = augmented_ybus(self, epoch)
+            y = kron_reduce(aug, internal)
+            # The network is reciprocal; symmetrize away reduction round-off.
+            y = 0.5 * (y + y.T)
+            y.setflags(write=False)
+            self._emf_networks[epoch] = y
+        return y
 
 
 @dataclass(frozen=True)
@@ -611,8 +635,7 @@ def reconstruct_voltages(y_aug: np.ndarray, internal: list[int],
 
 def augment_and_reduce(case: PowerSystemCase, epoch: str) -> ReducedNetwork:
     """Reduced admittance among generator internal nodes for one epoch."""
-    aug, internal = augmented_ybus(case, epoch)
-    return ReducedNetwork.from_complex(kron_reduce(aug, internal))
+    return ReducedNetwork.from_complex(case.emf_admittance(epoch))
 
 
 # ---------------------------------------------------------------------------
@@ -662,8 +685,23 @@ def init_from_powerflow(case: PowerSystemCase) -> tuple[GeneratorParams, ...]:
 
 
 def initialized_case(case: PowerSystemCase) -> PowerSystemCase:
-    """The same case with every generator's E/delta0/Pm filled in."""
-    if all(g.initialized for g in case.generators):
-        init_from_powerflow(case)   # still verify the equilibrium
+    """The same case with every generator's E/delta0/Pm filled in.
+
+    The equilibrium is verified once per case: a case remembers its
+    initialized copy, or that it is itself verified. A failed verification
+    is not remembered and raises again.
+    """
+    memo = case.__dict__
+    if memo.get("_verified"):
         return case
-    return replace(case, generators=init_from_powerflow(case))
+    if "_initialized" in memo:
+        return memo["_initialized"]
+    gens = init_from_powerflow(case)   # verifies the equilibrium
+    if all(g.initialized for g in case.generators):
+        out = case
+    else:
+        out = replace(case, generators=gens)
+        out.__dict__["_emf_networks"] = case._emf_networks
+        memo["_initialized"] = out
+    out.__dict__["_verified"] = True
+    return out

@@ -165,7 +165,7 @@ def estimate_hmin(inp: RaInputs, target_ra: float,
     relatively tighter than 1e-4. An unbounded window (no indicator root)
     counts as reaching any target. The value of ``inp.h`` is ignored.
     """
-    if target_ra <= 0:
+    if not (target_ra > 0):
         raise ValidationError("target_ra must be positive")
 
     def reaches(h):
@@ -197,10 +197,11 @@ def _reduce_around(case: PowerSystemCase, reference, epoch: str):
     names a network bus; ``("gen", bus)`` or ``("bus", bus)`` names either
     explicitly. Every generator EMF node is kept, in generator order (an
     eliminated source node would distort the couplings), and a reference bus
-    last. Returns the initialized case, the symmetrized reduced matrix, the
-    reference's row in it, its voltage magnitude in the case, and
-    ``motion_at(state)``: its magnitude, angle and angle rate at a state (see
-    :func:`ra_inputs_for_machine`).
+    last: a generator reference reads the case's own EMF-node reduction, a
+    bus reference is reduced here. Returns the initialized case, the
+    symmetrized reduced matrix, the reference's row in it, its voltage
+    magnitude in the case, and ``motion_at(state)``: its magnitude, angle and
+    angle rate at a state (see :func:`ra_inputs_for_machine`).
     """
     case = initialized_case(case)
     if reference is None:
@@ -209,10 +210,9 @@ def _reduce_around(case: PowerSystemCase, reference, epoch: str):
     if kind not in ("gen", "bus"):
         raise ValidationError(f"unknown reference kind {kind!r}")
     bus = int(bus)
-    aug, internal = augmented_ybus(case, epoch)
     if kind == "gen":
         ref = case.generator_position(bus)
-        keep, e_ref = internal, case.generators[ref].E
+        y, e_ref = case.emf_admittance(epoch), case.generators[ref].E
 
         def motion_at(state):
             return e_ref, float(state.delta[ref]), float(state.omega_dev[ref])
@@ -220,15 +220,16 @@ def _reduce_around(case: PowerSystemCase, reference, epoch: str):
         if bus not in case.bus_index:
             raise ValidationError(f"unknown bus {bus}")
         ref, node = case.k, case.bus_index[bus]
-        keep, e_ref = internal + [node], case.buses[node].voltage_mag
+        aug, internal = augmented_ybus(case, epoch)
+        red = kron_reduce(aug, internal + [node])
+        y, e_ref = 0.5 * (red + red.T), case.buses[node].voltage_mag
 
         def motion_at(state):
             emf = np.array([g.E * cmath.exp(1j * d)
                             for g, d in zip(case.generators, state.delta)])
             v_ref = reconstruct_voltages(aug, internal, emf)[node]
             return float(abs(v_ref)), float(cmath.phase(v_ref)), 0.0
-    red = kron_reduce(aug, keep)
-    return case, 0.5 * (red + red.T), ref, float(e_ref), motion_at
+    return case, y, ref, float(e_ref), motion_at
 
 
 def _machine_position(case: PowerSystemCase, machine: int, ref: int) -> int:
@@ -345,8 +346,9 @@ def mode_periods(rhs: SwingRhsParams, equilibrium: MachineState, *,
     if require_equilibrium and worst >= 1e-6:
         raise ValidationError(
             f"state is not an equilibrium: max |acceleration| = {worst:.3e} rad/s^2")
+    k = rhs.k
     dd = equilibrium.delta[:, None] - equilibrium.delta[None, :]
-    off = rhs.eey_cos * np.sin(dd) - rhs.eey_sin * np.cos(dd)
+    off = rhs.coupling[:k, :k] * np.sin(dd) - rhs.coupling[:k, k:] * np.cos(dd)
     stiff = off.copy()
     np.fill_diagonal(stiff, 0.0)
     np.fill_diagonal(stiff, -stiff.sum(axis=1))

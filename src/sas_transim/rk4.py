@@ -19,6 +19,9 @@ from .errors import DivergenceError, ValidationError
 from .mmadm import Trajectory
 from .netmodel import PowerSystemCase, initialized_case
 
+# Steps one integration may take; a longer horizon/dt is refused up front.
+MAX_STEPS = 10 ** 6
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -56,12 +59,16 @@ def integrate(rhs: SwingRhsParams, state0: MachineState, horizon: float,
               t0: float = 0.0) -> Trajectory:
     """Classical RK4 with a fixed step; the last step is shortened to land
     exactly on the horizon. Samples are stored every ``record_every`` steps
-    plus the final point."""
-    if horizon <= 0:
-        raise ValidationError("horizon must be positive")
+    plus the final point. More than ``MAX_STEPS`` steps are refused."""
+    if not (horizon > 0 and math.isfinite(horizon)):
+        raise ValidationError(f"horizon must be positive and finite, got {horizon!r}")
     if state0.k != rhs.k:
         raise ValidationError("state size does not match machine count")
     dt = cfg.dt
+    if horizon / dt > MAX_STEPS:
+        raise ValidationError(
+            f"horizon {horizon:g} s at dt {dt:g} s needs {horizon / dt:.3g} steps, "
+            f"more than MAX_STEPS = {MAX_STEPS}")
     n_full = int(math.floor(horizon / dt + 1e-9))
     remainder = horizon - n_full * dt
     if remainder < 1e-12 * max(1.0, horizon):
@@ -114,7 +121,11 @@ def fault_on_bootstrap(case: PowerSystemCase,
                           source="rk4")
         return eq, traj
     rhs_fault = SwingRhsParams.from_case(case, "fault_on")
-    traj = integrate(rhs_fault, eq, ev.t_clear - ev.t_fault, cfg, t0=ev.t_fault)
+    try:
+        traj = integrate(rhs_fault, eq, ev.t_clear - ev.t_fault, cfg, t0=ev.t_fault)
+    except ValidationError as exc:
+        raise ValidationError(
+            f"fault-on interval events.t_clear - events.t_fault: {exc}") from exc
     return traj.final_state, traj
 
 

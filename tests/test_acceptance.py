@@ -406,6 +406,9 @@ def test_criterion_8_property_suite(ieee9_case):
     w = derive_window(rhs9, st, 3)
     from sas_transim import LambdaSeries, adomian_terms
     lamser = LambdaSeries(w.terms)
+    # E_i E_j |Y_ij| cos/sin theta_ij, independent of rhs9.coupling
+    eey = np.outer(rhs9.e, rhs9.e) * rhs9.network.y_mag
+    gc, gs = eey * np.cos(rhs9.network.y_ang), eey * np.sin(rhs9.network.y_ang)
     lam_s, t_s = sp.symbols("lam t")
     x_sym = [sum(sp.Float(w.terms[n, i, p]) * t_s ** p * lam_s ** n
                  for n in range(3) for p in range(w.terms.shape[2]))
@@ -414,8 +417,8 @@ def test_criterion_8_property_suite(ieee9_case):
     for order in range(3):
         got = adomian_terms(rhs9, lamser, order)
         for i in range(3):
-            pe = sum(rhs9.eey_cos[i, j] * sp.cos(x_sym[i] - x_sym[j])
-                     + rhs9.eey_sin[i, j] * sp.sin(x_sym[i] - x_sym[j])
+            pe = sum(gc[i, j] * sp.cos(x_sym[i] - x_sym[j])
+                     + gs[i, j] * sp.sin(x_sym[i] - x_sym[j])
                      for j in range(3))
             f_i = rhs9.gain[i] * (rhs9.pm[i] - pe)
             coeff = sp.expand(sp.series(f_i, lam_s, 0, order + 1)

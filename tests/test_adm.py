@@ -196,6 +196,9 @@ def test_adomian_terms_match_sympy_composition():
     for trial in range(2):
         rhs = random_rhs(rng)
         k = rhs.k
+        # E_i E_j |Y_ij| cos/sin theta_ij, independent of rhs.coupling
+        eey = np.outer(rhs.e, rhs.e) * rhs.network.y_mag
+        gc, gs = eey * np.cos(rhs.network.y_ang), eey * np.sin(rhs.network.y_ang)
         n_orders = 3
         # random cubics per order, padded so no product truncates
         coeffs = np.zeros((n_orders, k, 9))
@@ -208,8 +211,8 @@ def test_adomian_terms_match_sympy_composition():
         for order in range(n_orders):
             got = adomian_terms(rhs, lamser, order)
             for i in range(k):
-                pe = sum(rhs.eey_cos[i, j] * sp.cos(x_sym[i] - x_sym[j])
-                         + rhs.eey_sin[i, j] * sp.sin(x_sym[i] - x_sym[j])
+                pe = sum(gc[i, j] * sp.cos(x_sym[i] - x_sym[j])
+                         + gs[i, j] * sp.sin(x_sym[i] - x_sym[j])
                          for j in range(k))
                 f_i = rhs.gain[i] * (rhs.pm[i] - pe)
                 expanded = sp.series(f_i, lam, 0, order + 1).removeO().expand()
@@ -438,6 +441,8 @@ def pairwise_window_terms(rhs, state, n_terms):
     coefficient by coefficient; returns the (n_terms, K, 2 n_terms + 1)
     terms."""
     k, p = rhs.k, 2 * n_terms + 1
+    eey = np.outer(rhs.e, rhs.e) * rhs.network.y_mag
+    gc, gs = eey * np.cos(rhs.network.y_ang), eey * np.sin(rhs.network.y_ang)
 
     def conv(a, b):
         out = np.zeros(a.shape)
@@ -459,8 +464,7 @@ def pairwise_window_terms(rhs, state, n_terms):
         else:
             sin_w.append(sum((n - m) * conv(cos_w[m], w[n - m]) for m in range(n)) / n)
             cos_w.append(-sum((n - m) * conv(sin_w[m], w[n - m]) for m in range(n)) / n)
-        pe = (rhs.eey_cos[..., None] * cos_w[n]
-              + rhs.eey_sin[..., None] * sin_w[n]).sum(axis=1)
+        pe = (gc[..., None] * cos_w[n] + gs[..., None] * sin_w[n]).sum(axis=1)
         a_n = -rhs.gain[:, None] * pe
         if n == 0:
             a_n[:, 0] += rhs.gain * rhs.pm

@@ -1,9 +1,15 @@
 """Command-line surface: flows, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from importlib import resources
 
 import numpy as np
 import pytest
+
+import sas_transim
 
 from sas_transim.cli import main
 from sas_transim.mmadm import read_csv
@@ -31,11 +37,49 @@ def test_simulate_smib_initial_row(tmp_path, capsys):
     assert traj.times[-1] == pytest.approx(3.0, abs=1e-9)
 
 
-def test_simulate_rejects_zero_horizon(capsys):
-    rc, _, err = run(capsys, "simulate", "smib", "--engine", "sas",
-                     "--horizon", "0")
+@pytest.mark.parametrize("argv, named", [
+    (("smib", "--engine", "sas", "--horizon", "0"), "horizon"),
+    (("ieee9", "--horizon", "nan"), "--horizon"),
+    (("ieee9", "--horizon", "inf"), "--horizon"),
+    (("ieee9", "--engine", "rk4", "--horizon", "nan"), "--horizon"),
+    (("ieee9", "--engine", "rk4", "--horizon", "inf"), "--horizon"),
+    (("ieee9", "--horizon", "0.5", "--window", "0.1", "--adaptive",
+      "--iloa-max", "nan"), "i_loa_max"),
+], ids=["zero", "sas-nan", "sas-inf", "rk4-nan", "rk4-inf", "iloa-nan"])
+def test_simulate_rejects_zero_horizon(tmp_path, monkeypatch, capsys, argv, named):
+    """Also non-finite numbers: none of them may start a run."""
+    monkeypatch.chdir(tmp_path)   # where a wrongly accepted run writes its CSV
+    rc, _, err = run(capsys, "simulate", *argv)
     assert rc == 1
-    assert "horizon" in err
+    assert named in err and "Traceback" not in err
+
+
+def _ieee9_clearing_at(tmp_path, t_clear):
+    doc = json.loads(resources.files("sas_transim").joinpath("cases/ieee9.json")
+                     .read_text(encoding="utf-8"))
+    doc["events"]["t_clear"] = t_clear
+    path = tmp_path / "ieee9_late.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("simulate", "smib", "--engine", "rk4", "--horizon", "1e9"), "MAX_STEPS"),
+    (("simulate", "ieee9", "--horizon", "0.5", "--window", "1e-9"), "MAX_WINDOWS"),
+    (("simulate", "LATE", "--horizon", "1"), "events.t_clear"),
+], ids=["rk4-steps", "sas-windows", "fault-on-steps"])
+def test_unbounded_work_is_refused_up_front(tmp_path, argv, named):
+    """Work beyond the step or window budget exits 1 before it starts; run
+    in a subprocess so that a regression fails instead of hanging."""
+    argv = [_ieee9_clearing_at(tmp_path, 1e300) if a == "LATE" else a for a in argv]
+    src = os.path.dirname(os.path.dirname(sas_transim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "sas_transim.cli", *argv,
+                           "--out", str(tmp_path / "out.csv")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=10)
+    assert proc.returncode == 1, proc.stderr
+    assert named in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_simulate_unknown_case(capsys):
@@ -143,6 +187,28 @@ def test_hmin_fleet(capsys):
                       "--search-window", "0.8")
     assert rc == 0
     assert "fleet H_min" in text
+
+
+def test_hmin_fleet_without_an_estimable_machine(tmp_path, capsys):
+    """A one-generator case leaves no machine besides the reference."""
+    doc = {"base_mva": 100, "frequency_hz": 60,
+           "buses": [{"id": 1, "voltage_mag": 1.0},
+                     {"id": 2, "voltage_mag": 0.98, "voltage_ang": -0.05,
+                      "p_load": 0.5}],
+           "branches": [{"from_bus": 1, "to_bus": 2, "x": 0.1}],
+           "generators": [{"bus": 1, "H": 5.0, "xdp": 0.2}]}
+    path = tmp_path / "one_gen.json"
+    path.write_text(json.dumps(doc))
+    rc, _, err = run(capsys, "hmin", str(path), "--target-ra", "0.1", "--fleet",
+                     "--equilibrium")
+    assert rc == 1
+    assert "no generator other than the reference" in err
+
+
+def test_hmin_rejects_nan_target(capsys):
+    rc, _, err = run(capsys, "hmin", "ieee9", "--target-ra", "nan")
+    assert rc == 1
+    assert "--target-ra" in err
 
 
 def test_modes_published_periods(capsys):

@@ -3,14 +3,17 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sas_transim import (CaseParseError, NumericalError, SwingRhsParams,
-                         ValidationError, augment_and_reduce, build_ybus,
-                         equilibrium_state, init_from_powerflow, kron_reduce,
-                         parse_case, set_inertia)
+from sas_transim import (CaseParseError, NumericalError, ReducedNetwork,
+                         SwingRhsParams, ValidationError, augment_and_reduce,
+                         augmented_ybus, build_ybus, builtin_case,
+                         equilibrium_state, init_from_powerflow,
+                         initialized_case, kron_reduce, parse_case,
+                         set_inertia)
 from sas_transim.netmodel import FAULT_ADMITTANCE
 from sas_transim.rk4 import IntegratorConfig, integrate
 
@@ -366,3 +369,59 @@ def test_set_inertia_returns_new_case(ieee9_case):
     assert ieee9_case.generator_at(3).H == 3.01
     with pytest.raises(ValidationError):
         set_inertia(ieee9_case, 99, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# A case prepares its networks once
+
+
+def test_case_reduces_each_epoch_once(monkeypatch):
+    """Initialization, the fault-on bootstrap, the fleet's accuracy windows
+    and both right-hand sides share one reduction per epoch."""
+    from sas_transim import netmodel, ra
+    from sas_transim.rk4 import fault_on_bootstrap
+    calls = []
+    for mod in (netmodel, ra):
+        orig = mod.kron_reduce
+        monkeypatch.setattr(mod, "kron_reduce",
+                            lambda *a, _orig=orig: calls.append(1) or _orig(*a))
+    case = builtin_case("ieee39")
+
+    def study():
+        initialized_case(case)
+        state, _ = fault_on_bootstrap(case)
+        ra.fleet_ra(case, state, 5.0)
+        for epoch in ("pre_fault", "post_fault"):
+            SwingRhsParams.from_case(case, epoch)
+
+    study()
+    assert len(calls) == 3
+    study()
+    assert len(calls) == 3
+
+
+def test_failed_initialization_raises_every_time(ieee9_case):
+    gens = list(ieee9_case.generators)
+    gens[0] = replace(gens[0], Pm=gens[0].Pm + 0.1)
+    off = replace(ieee9_case, generators=tuple(gens))
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="not at equilibrium"):
+            initialized_case(off)
+
+
+def test_initialized_inertia_variant_keeps_its_inertia():
+    case = builtin_case("ieee9")
+    assert initialized_case(case).generator_at(3).H == 3.01
+    variant = initialized_case(set_inertia(case, 3, 4.5))
+    assert variant.generator_at(3).H == 4.5
+    assert initialized_case(case).generator_at(3).H == 3.01
+
+
+@pytest.mark.parametrize("name", ["ieee9", "ieee39"])
+def test_remembered_network_equals_a_fresh_reduction(name):
+    case = initialized_case(builtin_case(name))
+    for epoch in ("pre_fault", "fault_on", "post_fault"):
+        got = SwingRhsParams.from_case(case, epoch).network
+        want = ReducedNetwork.from_complex(kron_reduce(*augmented_ybus(case, epoch)))
+        assert np.array_equal(got.y_mag, want.y_mag)
+        assert np.array_equal(got.y_ang, want.y_ang)
