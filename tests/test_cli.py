@@ -45,9 +45,12 @@ def test_simulate_smib_initial_row(tmp_path, capsys):
     (("ieee9", "--engine", "rk4", "--horizon", "inf"), "--horizon"),
     (("ieee9", "--horizon", "0.5", "--window", "0.1", "--adaptive",
       "--iloa-max", "nan"), "i_loa_max"),
-], ids=["zero", "sas-nan", "sas-inf", "rk4-nan", "rk4-inf", "iloa-nan"])
+    (("ieee9", "--engine", "rk4", "--horizon", "0.05", "--relative",
+      "--reference", "bus:5"), "--relative"),
+], ids=["zero", "sas-nan", "sas-inf", "rk4-nan", "rk4-inf", "iloa-nan", "relative-bus"])
 def test_simulate_rejects_zero_horizon(tmp_path, monkeypatch, capsys, argv, named):
-    """Also non-finite numbers: none of them may start a run."""
+    """Also non-finite numbers, and relative angles against a network bus:
+    none of them may start a run."""
     monkeypatch.chdir(tmp_path)   # where a wrongly accepted run writes its CSV
     rc, _, err = run(capsys, "simulate", *argv)
     assert rc == 1
@@ -98,6 +101,16 @@ def test_simulate_rk4_and_relative_output(tmp_path, capsys):
     assert "final relative angles" in text
     rel = read_csv(str(tmp_path / "t_rel.csv"))
     assert np.all(rel.delta[:, 0] == 0.0)   # generator 1 column is the anchor
+
+
+def test_simulate_bus_reference_prints_absolute_angles(tmp_path, capsys):
+    """A network bus has no angle to subtract: the closing line says the
+    angles are absolute."""
+    rc, text, _ = run(capsys, "simulate", "ieee9", "--engine", "rk4",
+                      "--horizon", "0.05", "--out", str(tmp_path / "t.csv"),
+                      "--reference", "bus:5")
+    assert rc == 0
+    assert "final absolute angles" in text
 
 
 def test_simulate_default_window_from_estimator(tmp_path, capsys):
@@ -189,7 +202,11 @@ def test_hmin_fleet(capsys):
     assert "fleet H_min" in text
 
 
-def test_hmin_fleet_without_an_estimable_machine(tmp_path, capsys):
+@pytest.mark.parametrize("command", [
+    ("hmin", "--target-ra", "0.1", "--fleet"),
+    ("ra",),
+], ids=["hmin", "ra"])
+def test_hmin_fleet_without_an_estimable_machine(tmp_path, capsys, command):
     """A one-generator case leaves no machine besides the reference."""
     doc = {"base_mva": 100, "frequency_hz": 60,
            "buses": [{"id": 1, "voltage_mag": 1.0},
@@ -199,9 +216,9 @@ def test_hmin_fleet_without_an_estimable_machine(tmp_path, capsys):
            "generators": [{"bus": 1, "H": 5.0, "xdp": 0.2}]}
     path = tmp_path / "one_gen.json"
     path.write_text(json.dumps(doc))
-    rc, _, err = run(capsys, "hmin", str(path), "--target-ra", "0.1", "--fleet",
-                     "--equilibrium")
+    rc, text, err = run(capsys, command[0], str(path), *command[1:], "--equilibrium")
     assert rc == 1
+    assert text == ""
     assert "no generator other than the reference" in err
 
 
@@ -240,6 +257,17 @@ def test_bench_report(capsys):
         report["rk4_s"] / (report["windows"] * report["online_eval_s"]), rel=1e-6)
     assert report["t_over_tau"] == pytest.approx(0.1 / report["online_eval_s"],
                                                  rel=1e-6)
+
+
+def test_bench_default_window_stops_at_the_horizon(capsys):
+    """The estimated window (about 0.2 s here) is clamped to a shorter
+    horizon, so one window of the horizon's length is what was timed."""
+    rc, text, _ = run(capsys, "bench", "ieee9", "--horizon", "0.05", "--json")
+    assert rc == 0
+    report = json.loads(text)
+    assert report["windows"] == 1
+    assert report["t_over_tau"] == pytest.approx(0.05 / report["online_eval_s"],
+                                                 rel=1e-12)
 
 
 def test_bench_single_window(capsys):

@@ -242,26 +242,6 @@ def test_adaptive_underflow_raises():
         simulate_sas(rhs, st, 1.0, cfg)
 
 
-def test_adaptive_reestimation_hook():
-    """An accuracy-window callback re-tunes the window length after a cut."""
-    rhs = table1_rhs()
-    st = MachineState(np.array([1.1429, 0.0]), np.array([4.5, 0.0]))
-    cfg = WindowConfig(t_init=0.3, n_terms=3, adaptive=True, i_loa_max=2.0,
-                       samples_per_window=8)
-    calls = []
-
-    def ra_fn(state):
-        calls.append(state)
-        return 0.05
-
-    traj = simulate_sas(rhs, st, 1.0, cfg, ra_fn=ra_fn)
-    assert traj.adaptive_cuts > 0
-    assert calls, "hook was never invoked despite adaptive cuts"
-    # after the first cut the windows shrink to 0.8x the callback's estimate
-    bounds = np.diff(np.concatenate(([0.0], traj.window_boundaries)))
-    assert bounds.min() <= 0.8 * 0.05 + 1e-12
-
-
 def test_driver_rejects_bad_horizon():
     with pytest.raises(ValidationError):
         simulate_sas(table1_rhs(), table1_state(), 0.0, WindowConfig(t_init=0.1))

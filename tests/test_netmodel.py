@@ -377,7 +377,8 @@ def test_set_inertia_returns_new_case(ieee9_case):
 
 def test_case_reduces_each_epoch_once(monkeypatch):
     """Initialization, the fault-on bootstrap, the fleet's accuracy windows
-    and both right-hand sides share one reduction per epoch."""
+    and both right-hand sides share one reduction per epoch; accuracy
+    windows against a bus, for the fleet and per machine, share one more."""
     from sas_transim import netmodel, ra
     from sas_transim.rk4 import fault_on_bootstrap
     calls = []
@@ -391,13 +392,16 @@ def test_case_reduces_each_epoch_once(monkeypatch):
         initialized_case(case)
         state, _ = fault_on_bootstrap(case)
         ra.fleet_ra(case, state, 5.0)
+        ra.fleet_ra(case, state, 5.0, reference=("bus", 5))
+        for g in case.generators:
+            ra.ra_inputs_for_machine(case, g.bus, state, 5.0, reference=("bus", 5))
         for epoch in ("pre_fault", "post_fault"):
             SwingRhsParams.from_case(case, epoch)
 
     study()
-    assert len(calls) == 3
+    assert len(calls) == 4
     study()
-    assert len(calls) == 3
+    assert len(calls) == 4
 
 
 def test_failed_initialization_raises_every_time(ieee9_case):
@@ -425,3 +429,6 @@ def test_remembered_network_equals_a_fresh_reduction(name):
         want = ReducedNetwork.from_complex(kron_reduce(*augmented_ybus(case, epoch)))
         assert np.array_equal(got.y_mag, want.y_mag)
         assert np.array_equal(got.y_ang, want.y_ang)
+        aug, keep = augmented_ybus(case, epoch)
+        red = kron_reduce(aug, keep + [case.bus_index[5]])
+        assert np.array_equal(case.emf_admittance(epoch, 5), 0.5 * (red + red.T))
