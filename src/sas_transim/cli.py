@@ -32,7 +32,8 @@ class BenchReport:
 
     ``online_eval_s`` is the wall time per simulated window (3 evaluations,
     handoff and the next window's coefficient recursion); ``t_over_tau``
-    is the faster-than-real-time ratio of one window.
+    is the faster-than-real-time ratio of the mean simulated window,
+    horizon / windows, to that time.
     """
 
     offline_setup_s: float
@@ -319,7 +320,7 @@ def cmd_bench(args) -> int:
     online = sas_s / windows
     report = BenchReport(offline_setup_s=offline, online_eval_s=online,
                          rk4_s=rk4_s, speed_ratio_vs_rk4=rk4_s / sas_s,
-                         windows=windows, t_over_tau=window / online)
+                         windows=windows, t_over_tau=args.horizon / windows / online)
     if args.json:
         print(json.dumps(report.as_dict(), indent=1))
     else:

@@ -25,6 +25,12 @@ HANDOFF_MODES = ("analytic_derivative", "two_point")
 # Windows one simulation may derive; a horizon that could need more (at the
 # shortest window an adaptive cut leaves, t_init/100) is refused up front.
 MAX_WINDOWS = 10 ** 5
+# Recorded samples one simulation may hold: the windows counted for
+# MAX_WINDOWS times samples_per_window, refused up front as well.
+MAX_SAMPLES = 10 ** 6
+# Terms per window: one ieee39 derivation at the cap takes about 0.4 s on
+# 2 vCPUs, and the cost grows about as n_terms^4.
+MAX_N_TERMS = 40
 
 
 @dataclass(frozen=True)
@@ -53,6 +59,9 @@ class WindowConfig:
             raise ValidationError("the accuracy indicator needs at least 3 terms")
         if self.n_terms < 2:
             raise ValidationError("need at least 2 terms")
+        if self.n_terms > MAX_N_TERMS:
+            raise ValidationError(
+                f"n_terms {self.n_terms} is more than MAX_N_TERMS = {MAX_N_TERMS}")
         if self.samples_per_window < 3:
             raise ValidationError("need at least 3 samples per window")
         if self.handoff_mode not in HANDOFF_MODES:
@@ -221,7 +230,8 @@ def simulate_sas(rhs: SwingRhsParams, state0: MachineState, horizon: float,
     With ``cfg.adaptive``, a window whose indicator crosses ``cfg.i_loa_max``
     at a sample point is truncated at the previous sample; a cut collapsing
     below t_init/100 raises, suggesting more terms or a shorter window. A
-    horizon that could need more than ``MAX_WINDOWS`` windows is refused.
+    horizon that could need more than ``MAX_WINDOWS`` windows, or record more
+    than ``MAX_SAMPLES`` samples, is refused.
     """
     if not (horizon > 0 and math.isfinite(horizon)):
         raise ValidationError(f"horizon must be positive and finite, got {horizon!r}")
@@ -231,6 +241,12 @@ def simulate_sas(rhs: SwingRhsParams, state0: MachineState, horizon: float,
             f"horizon {horizon:g} s at t_init {cfg.t_init:g} s"
             f"{' (adaptive cuts to t_init/100)' if cfg.adaptive else ''} needs up to "
             f"{horizon / shortest:.3g} windows, more than MAX_WINDOWS = {MAX_WINDOWS}")
+    samples = horizon / shortest * cfg.samples_per_window
+    if samples > MAX_SAMPLES:
+        raise ValidationError(
+            f"{cfg.samples_per_window} samples per window over up to "
+            f"{horizon / shortest:.3g} windows is {samples:.3g} samples, more than "
+            f"MAX_SAMPLES = {MAX_SAMPLES}")
     t_end = horizon
     times = [np.array([t0])]
     deltas = [state0.delta[None, :]]

@@ -7,8 +7,15 @@ loss-of-accuracy indicator, and the smallest positive R solving
 |4 c1 R^3 + 3 c2 R^2| = I_max is the maximum window of accuracy R_A. It is
 the smallest positive real root of the two cubics 4 c1 R^3 + 3 c2 R^2 =
 +-I_max (companion-matrix roots polished by two Newton steps); a root
-beyond 10 s counts as none, and R_A is then unbounded. Bisecting the same
-relation over the inertia gives the smallest H that achieves a desired R_A.
+beyond 10 s counts as none, and R_A is then unbounded.
+
+The minimum inertia for a desired R_A inverts the same relation. With
+u = 1/H, the gain omega0/2H and the damping D/2H are both proportional to u,
+so c1 and c2 lie in the span of (u, u^2) and the indicator is
+u p(R) + u^2 q(R) with cubics p and q read off two inertias. H_min is the
+smallest H such that every H' >= H reaches the target; the boundary values
+of u are closed-form roots (see :func:`estimate_hmin`), so R_A need not be
+monotone in H.
 
 c1 and c2 are read off the mechanically derived third term (the same
 recursion the simulator runs), not from a hand closed form; the closed form
@@ -84,20 +91,39 @@ class RaResult:
     closed_form_discrepancy: float  # max relative deviation of the closed form
 
 
-def _pair_rhs(inp: RaInputs) -> SwingRhsParams:
-    """Machine-versus-reference equivalent: the reference is an infinite
-    inertia node that drifts at its initial angle rate."""
-    y_mag = np.array([[abs(inp.g), inp.y], [inp.y, 0.0]])
+def _pair_rhs(inp: RaInputs, inertias) -> SwingRhsParams:
+    """Machine-versus-reference equivalents, one pair per inertia.
+
+    Pair i holds the machine at node 2i and its reference at node 2i + 1,
+    an infinite-inertia node that drifts at its initial angle rate. The
+    network is block diagonal, so pairs do not couple and one derivation
+    serves every inertia.
+    """
+    n = len(inertias)
     theta_self = 0.0 if inp.g >= 0 else math.pi
-    y_ang = np.array([[theta_self, inp.theta], [inp.theta, 0.0]])
+    y_mag = np.zeros((2 * n, 2 * n))
+    y_ang = np.zeros((2 * n, 2 * n))
+    for i in range(0, 2 * n, 2):
+        y_mag[i:i + 2, i:i + 2] = [[abs(inp.g), inp.y], [inp.y, 0.0]]
+        y_ang[i:i + 2, i:i + 2] = [[theta_self, inp.theta], [inp.theta, 0.0]]
     return SwingRhsParams(
-        h=np.array([inp.h, math.inf]),
-        d=np.array([inp.d, 0.0]),
-        pm=np.array([inp.pm, 0.0]),
-        e=np.array([inp.e, inp.e_inf]),
+        h=[x for h in inertias for x in (h, math.inf)],
+        d=[inp.d, 0.0] * n,
+        pm=[inp.pm, 0.0] * n,
+        e=[inp.e, inp.e_inf] * n,
         network=ReducedNetwork(y_mag, y_ang),
         omega0=inp.omega0,
     )
+
+
+def _third_term(inp: RaInputs, inertias) -> tuple[np.ndarray, np.ndarray]:
+    """(c1, c2), the t^4 and t^3 coefficients of the machine's third term,
+    at each inertia: one N = 3 derivation of the stacked pairs."""
+    n = len(inertias)
+    state0 = MachineState([inp.delta0_machine, inp.delta0_ref] * n,
+                          [inp.ddelta0_machine, inp.ddelta0_ref] * n)
+    third = derive_window(_pair_rhs(inp, inertias), state0, 3).terms[2, 0::2]
+    return third[:, 4], third[:, 3]
 
 
 def _closed_form_c1_c2(inp: RaInputs) -> tuple[float, float]:
@@ -140,14 +166,7 @@ def estimate_ra(inp: RaInputs) -> RaResult:
     (t^4 and t^3 coefficients of the third term); the hand formula is
     evaluated alongside as a cross-check.
     """
-    rhs = _pair_rhs(inp)
-    state0 = MachineState(
-        np.array([inp.delta0_machine, inp.delta0_ref]),
-        np.array([inp.ddelta0_machine, inp.ddelta0_ref]))
-    w = derive_window(rhs, state0, 3)
-    third = w.terms[2, 0]
-    c1 = float(third[4])
-    c2 = float(third[3])
+    c1, c2 = (float(c[0]) for c in _third_term(inp, [inp.h]))
     cf1, cf2 = _closed_form_c1_c2(inp)
     scale = max(abs(c1), abs(c2), 1e-30)
     disc = max(abs(c1 - cf1), abs(c2 - cf2)) / scale
@@ -157,33 +176,81 @@ def estimate_ra(inp: RaInputs) -> RaResult:
                     closed_form_discrepancy=disc)
 
 
+def _positive_u(q: float, p: float, level: float):
+    """Positive roots u of q u^2 + p u = level (the cancellation-free form
+    of the quadratic formula, so a small root keeps its digits)."""
+    disc = p * p + 4.0 * q * level
+    if disc < 0.0:
+        return []
+    s = -0.5 * (p + math.copysign(math.sqrt(disc), p))
+    roots = (s / q if q else math.inf, -level / s if s else math.inf)
+    return [u for u in roots if 0.0 < u < math.inf]
+
+
 def estimate_hmin(inp: RaInputs, target_ra: float,
                   h_lo: float = 1e-2, h_hi: float = 1e4) -> float:
-    """Smallest inertia whose estimated accuracy window reaches ``target_ra``.
+    """Smallest inertia H such that every H' >= H reaches ``target_ra``.
 
-    Bisects on H and returns the upper bracket endpoint once the bracket is
-    relatively tighter than 1e-4. An unbounded window (no indicator root)
-    counts as reaching any target. The value of ``inp.h`` is ignored.
+    An unbounded window (no indicator root) counts as reaching any target,
+    and the value of ``inp.h`` is ignored. With u = 1/H the indicator is
+    g(R, u) = u p(R) + u^2 q(R); one derivation at u = 1 and u = 1/2 gives
+    the cubics p and q. H reaches the target T = min(target_ra, 10 s) while
+    max |g| over (0, T) stays below I_max, so the boundary values of u are
+    where that maximum equals I_max, at R = T or at an interior extremum.
+    The candidates are the positive roots u of
+
+    - q(T) u^2 + p(T) u = +-I_max, and
+    - q(R) u^2 + p(R) u = +-I_max at each real R in (0, T) solving
+      -p'(p q' - p' q) -+ I_max q'^2 = 0 (dg/dR = 0 there, for
+      u = -p'/q').
+
+    The smallest candidate u* that (1 + 1e-9) u* misses is the boundary
+    (a touching candidate is passed over), and H_min = 1/u*, clamped up to
+    ``h_lo``; an H_min above ``h_hi`` raises NumericalError. Where R_A grows
+    with H this is simply the first H whose window reaches the target. The
+    result is checked with :func:`estimate_ra` and nudged up by a relative
+    1e-12, at most 8 times, to absorb round-off of the fit.
     """
     if not (target_ra > 0):
         raise ValidationError("target_ra must be positive")
+    i_max = inp.i_loa_max
+    (c1_1, c1_2), (c2_1, c2_2) = (c.tolist() for c in _third_term(inp, [1.0, 2.0]))
+    # c = alpha u + beta u^2, read off u = 1 and u = 1/2
+    alpha1, beta1 = 4.0 * c1_2 - c1_1, 2.0 * c1_1 - 4.0 * c1_2
+    alpha2, beta2 = 4.0 * c2_2 - c2_1, 2.0 * c2_1 - 4.0 * c2_2
+    # p(R) = a3 R^3 + a2 R^2, q(R) = b3 R^3 + b2 R^2, p q' - p' q = kappa R^4
+    a3, a2, b3, b2 = 4.0 * alpha1, 3.0 * alpha2, 4.0 * beta1, 3.0 * beta2
+    kappa = a2 * b3 - a3 * b2
+    t_end = min(target_ra, _RA_MAX)
 
-    def reaches(h):
-        return estimate_ra(replace(inp, h=h)).r_a >= target_ra
+    candidates = []
+    for level in (i_max, -i_max):
+        # The sextic above divided by -R^2. A double root may come back as
+        # a complex pair; keeping its real part costs one check at most.
+        quartic = [3.0 * kappa * a3, 2.0 * kappa * a2, 9.0 * level * b3 * b3,
+                   12.0 * level * b3 * b2, 4.0 * level * b2 * b2]
+        extrema = [r.real for r in np.roots(quartic)
+                   if abs(r.imag) <= 1e-6 * abs(r) and 0.0 < r.real < t_end]
+        for r in (t_end, *extrema):
+            candidates += _positive_u((b3 * r + b2) * r * r, (a3 * r + a2) * r * r, level)
 
-    if not reaches(h_hi):
+    def misses(u):
+        c1, c2 = alpha1 * u + beta1 * u * u, alpha2 * u + beta2 * u * u
+        return _smallest_indicator_root(c1, c2, i_max)[0] < target_ra
+
+    u_star = next((u for u in sorted(candidates)
+                   if u < 1.0 / h_lo and misses(u * (1.0 + 1e-9))), None)
+    if u_star is not None and u_star < 1.0 / h_hi:
         raise NumericalError(
-            f"target R_A={target_ra}s unreachable even at H={h_hi}s")
-    if reaches(h_lo):
-        return h_lo
-    lo, hi = h_lo, h_hi
-    while hi / lo > 1.0 + 1e-4:
-        mid = math.sqrt(lo * hi)
-        if reaches(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+            f"target R_A={target_ra}s unreachable up to H={h_hi}s: inertias "
+            f"just below {1.0 / u_star:.6g}s miss it")
+    h_min = h_lo if u_star is None else 1.0 / u_star
+    for h in h_min * (1.0 + 1e-12) ** np.arange(9):
+        if estimate_ra(replace(inp, h=float(h))).r_a >= target_ra:
+            return float(h)
+    raise NumericalError(
+        f"target R_A={target_ra}s: estimate_ra misses it at H={h:.12g}s, "
+        f"8 nudges above the closed-form H_min")
 
 
 # ---------------------------------------------------------------------------

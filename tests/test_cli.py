@@ -12,7 +12,7 @@ import pytest
 import sas_transim
 
 from sas_transim.cli import main
-from sas_transim.mmadm import read_csv
+from sas_transim.mmadm import MAX_N_TERMS, read_csv
 from sas_transim.netmodel import CASE_DIR_ENV
 
 
@@ -70,7 +70,11 @@ def _ieee9_clearing_at(tmp_path, t_clear):
     (("simulate", "smib", "--engine", "rk4", "--horizon", "1e9"), "MAX_STEPS"),
     (("simulate", "ieee9", "--horizon", "0.5", "--window", "1e-9"), "MAX_WINDOWS"),
     (("simulate", "LATE", "--horizon", "1"), "events.t_clear"),
-], ids=["rk4-steps", "sas-windows", "fault-on-steps"])
+    (("simulate", "ieee9", "--horizon", "0.5", "--window", "0.1",
+      "--n-terms", str(MAX_N_TERMS + 1)), "MAX_N_TERMS"),
+    (("simulate", "ieee9", "--horizon", "1", "--window", "0.1",
+      "--samples", "200000"), "MAX_SAMPLES"),
+], ids=["rk4-steps", "sas-windows", "fault-on-steps", "sas-terms", "sas-samples"])
 def test_unbounded_work_is_refused_up_front(tmp_path, argv, named):
     """Work beyond the step or window budget exits 1 before it starts; run
     in a subprocess so that a regression fails instead of hanging."""
@@ -268,6 +272,18 @@ def test_bench_default_window_stops_at_the_horizon(capsys):
     assert report["windows"] == 1
     assert report["t_over_tau"] == pytest.approx(0.05 / report["online_eval_s"],
                                                  rel=1e-12)
+
+
+def test_bench_ratio_uses_the_mean_simulated_window(capsys):
+    """A 0.4 s horizon in 0.3 s windows is 2 windows of 0.2 s on average:
+    the ratio divides that mean, not the configured 0.3 s."""
+    rc, text, _ = run(capsys, "bench", "ieee9", "--window", "0.3",
+                      "--horizon", "0.4", "--json")
+    assert rc == 0
+    report = json.loads(text)
+    assert report["windows"] == 2
+    assert report["t_over_tau"] == pytest.approx(
+        0.4 / report["windows"] / report["online_eval_s"], rel=1e-12)
 
 
 def test_bench_single_window(capsys):

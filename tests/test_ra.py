@@ -230,6 +230,92 @@ def test_hmin_unreachable_target_raises():
         estimate_hmin(inp, target_ra=8.0)
 
 
+@pytest.mark.parametrize("name", ["smib", "ieee9", "ieee39"])
+def test_third_term_lies_in_the_span_of_u_and_u_squared(name, request):
+    """With u = 1/H, both the gain omega0/2H and the damping D/2H scale with
+    u, so c1 and c2 are alpha u + beta u^2 (smib's machine is damped): a fit
+    at two inertias predicts the third to 1e-12 relative."""
+    case = request.getfixturevalue(f"{name}_case")
+    if name == "smib":
+        state = MachineState(np.array(case.initial_delta), np.array(case.initial_omega))
+    else:
+        state, _ = fault_on_bootstrap(case, IntegratorConfig(dt=1e-3))
+    u = np.array([1.0, 0.3, 0.02])
+    basis = np.column_stack([u, u * u])
+    for _, inp, _ in fleet_ra(case, state, 5.0):
+        res = [estimate_ra(replace(inp, h=1.0 / x)) for x in u]
+        for c in ([r.c1 for r in res], [r.c2 for r in res]):
+            coef = np.linalg.solve(basis[:2], c[:2])
+            scale = np.abs(basis[2] * coef).sum()
+            assert abs(basis[2] @ coef - c[2]) <= 1e-12 * scale, (inp, c)
+
+
+def test_hmin_is_safe_where_the_window_is_not_monotone(ieee39_case):
+    """Machine 30 at the ieee39 clearing state (target 0.1 s, I_max = 5):
+    R_A is 0.1002 s at H = 1.31 s but drops below 0.1 s from about 2.2 s
+    to 5.09 s. Every inertia above H_min reaches the target, and 3 s, in
+    that gap, does not."""
+    state, _ = fault_on_bootstrap(ieee39_case, IntegratorConfig(dt=1e-3))
+    inp = ra_inputs_for_machine(ieee39_case, 30, state, 5.0)
+    hmin = estimate_hmin(inp, 0.1)
+    assert estimate_ra(replace(inp, h=3.0)).r_a < 0.1
+    for h in np.geomspace(hmin, 1e4, 300):
+        assert estimate_ra(replace(inp, h=float(h))).r_a >= 0.1, h
+
+
+def test_hmin_boundary_at_an_interior_maximum():
+    """The indicator can peak inside (0, T) and close the window there. For
+    this damped table-1 machine (T = 0.2 s, I_max = 3), at H_min the
+    indicator at R = T is about 2.6, below I_max, and just below H_min the
+    peak near R = 0.17 s reaches I_max: the boundary is an extremum
+    candidate, not a root of the quadratic at R = T."""
+    inp = table1_inputs(d=5.0, delta0_machine=1.73, ddelta0_machine=3.5,
+                        ddelta0_ref=0.84, i_loa_max=3.0)
+    hmin = estimate_hmin(inp, 0.2)
+    at = estimate_ra(replace(inp, h=hmin))
+    assert abs((4 * at.c1 * 0.2 + 3 * at.c2) * 0.2 ** 2) < 0.9 * inp.i_loa_max
+    peak = -at.c2 / (2 * at.c1)   # d/dR (4 c1 R^3 + 3 c2 R^2) = 0
+    below = estimate_ra(replace(inp, h=hmin / (1 + 1e-6)))
+    assert below.r_a == pytest.approx(peak, rel=1e-2)
+    for h in np.geomspace(hmin, 1e4, 100):
+        assert estimate_ra(replace(inp, h=float(h))).r_a >= 0.2, h
+
+
+def _bisected_hmin(inp, target, h_lo=1e-2, h_hi=1e4):
+    """Oracle valid where R_A grows with H: bisection on H down to a bracket
+    (lo, hi) relatively tighter than 1e-4, hi reaching the target."""
+    def reaches(h):
+        return estimate_ra(replace(inp, h=h)).r_a >= target
+
+    assert reaches(h_hi)
+    if reaches(h_lo):
+        return h_lo, h_lo
+    lo, hi = h_lo, h_hi
+    while hi / lo > 1.0 + 1e-4:
+        mid = math.sqrt(lo * hi)
+        lo, hi = (lo, mid) if reaches(mid) else (mid, hi)
+    return lo, hi
+
+
+@pytest.mark.parametrize("inp, target", [
+    *((table1_inputs(d=d), t) for d in (0.0, 1.0, 5.0) for t in (0.3, 0.4, 0.5)),
+    (TABLE4_INPUTS, 0.2),
+], ids=[*(f"table1-d{d:g}-T{t:g}" for d in (0, 1, 5) for t in (0.3, 0.4, 0.5)),
+        "table4"])
+def test_hmin_agrees_with_bisection_where_monotone(inp, target):
+    """Where the inertias reaching the target form one interval [H*, 1e4]
+    the exact reach set is the bisection's answer: H_min lies inside the
+    oracle's final bracket. (At shorter targets the table-1 machine has
+    gaps, e.g. with d = 5 a 0.2 s window is reached at H = 0.3 s but not
+    at 1 s.)"""
+    reach = [estimate_ra(replace(inp, h=float(h))).r_a >= target
+             for h in np.geomspace(1e-2, 1e4, 200)]
+    assert reach == sorted(reach)   # the oracle's premise
+    lo, hi = _bisected_hmin(inp, target)
+    hmin = estimate_hmin(inp, target)
+    assert lo <= hmin <= hi * (1 + 1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Transfer admittance
 
