@@ -2,11 +2,9 @@
 series windows, with an RK4 reference integrator, accuracy-window and
 minimum-inertia estimation, and small-signal mode analysis."""
 
-from .adm import (LambdaSeries, MachineState, SasWindow, SwingRhsParams,
-                  TruncatedSeries, adomian_terms, derive_window,
-                  equilibrium_state, eval_window, series_add,
-                  series_differentiate, series_integrate, series_mul,
-                  series_scale, sin_cos_of_series)
+from .adm import (MachineState, SasWindow, SwingRhsParams, adomian_terms,
+                  derive_window, equilibrium_state, eval_window,
+                  sin_cos_of_series)
 from .errors import (CaseParseError, DivergenceError, NumericalError,
                      ValidationError)
 from .mmadm import (Trajectory, WindowConfig, handoff_state, i_loa, read_csv,

@@ -1,4 +1,4 @@
-"""Truncated power series and the window-derivation engine for swing dynamics.
+"""Adomian polynomials of the swing nonlinearity and window derivation.
 
 Each machine's rotor angle over a short window is represented as a sum of
 polynomial terms in local time t. Term zero is the initial angle; term one
@@ -52,129 +52,6 @@ import numpy as np
 from .errors import DivergenceError, ValidationError
 from .netmodel import (PowerSystemCase, ReducedNetwork, augment_and_reduce,
                        initialized_case)
-
-
-# ---------------------------------------------------------------------------
-# Truncated polynomial arithmetic
-
-
-class TruncatedSeries:
-    """Polynomial in local time t truncated at a fixed maximum degree.
-
-    Coefficients ascend: ``coeffs[k]`` multiplies t**k. Products truncate to
-    the larger operand's degree bound, integration raises the bound,
-    differentiation lowers it. Evaluation uses Horner's scheme, so the value
-    at t = 0 is exactly ``coeffs[0]``.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs, max_degree: int | None = None):
-        c = np.array(coeffs, dtype=float)
-        if c.ndim != 1:
-            raise ValidationError("series coefficients must be one-dimensional")
-        if max_degree is not None:
-            if max_degree < 0:
-                raise ValidationError("max_degree must be >= 0")
-            out = np.zeros(max_degree + 1)
-            m = min(c.size, max_degree + 1)
-            out[:m] = c[:m]
-            c = out
-        elif c.size == 0:
-            c = np.zeros(1)
-        c.setflags(write=False)
-        self.coeffs = c
-
-    @property
-    def max_degree(self) -> int:
-        return self.coeffs.size - 1
-
-    def __call__(self, t: float) -> float:
-        return _polyval(self.coeffs, t)
-
-    def __repr__(self):
-        return f"TruncatedSeries({self.coeffs.tolist()})"
-
-    def __eq__(self, other):
-        return (isinstance(other, TruncatedSeries)
-                and self.coeffs.size == other.coeffs.size
-                and bool(np.all(self.coeffs == other.coeffs)))
-
-    def __add__(self, other):
-        return series_add(self, _coerce(other, self.max_degree))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return series_add(self, series_scale(_coerce(other, self.max_degree), -1.0))
-
-    def __rsub__(self, other):
-        return series_add(_coerce(other, self.max_degree), series_scale(self, -1.0))
-
-    def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            return series_mul(self, other)
-        return series_scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return series_scale(self, -1.0)
-
-
-def _coerce(value, max_degree) -> TruncatedSeries:
-    if isinstance(value, TruncatedSeries):
-        return value
-    return TruncatedSeries([float(value)], max_degree=max_degree)
-
-
-def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    n = max(a.coeffs.size, b.coeffs.size)
-    out = np.zeros(n)
-    out[:a.coeffs.size] += a.coeffs
-    out[:b.coeffs.size] += b.coeffs
-    return TruncatedSeries(out)
-
-
-def series_scale(a: TruncatedSeries, factor: float) -> TruncatedSeries:
-    return TruncatedSeries(a.coeffs * factor)
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries,
-               max_degree: int | None = None) -> TruncatedSeries:
-    """Product truncated to ``max_degree`` (default: larger operand bound)."""
-    if max_degree is None:
-        max_degree = max(a.max_degree, b.max_degree)
-    return TruncatedSeries(np.convolve(a.coeffs, b.coeffs), max_degree=max_degree)
-
-
-def series_integrate(a: TruncatedSeries, order: int = 1) -> TruncatedSeries:
-    """Antiderivative from 0 (zero constants of integration); degree grows."""
-    c = a.coeffs
-    for _ in range(order):
-        c = np.concatenate(([0.0], c / np.arange(1, c.size + 1)))
-    return TruncatedSeries(c)
-
-
-def series_differentiate(a: TruncatedSeries) -> TruncatedSeries:
-    if a.coeffs.size == 1:
-        return TruncatedSeries([0.0])
-    return TruncatedSeries(a.coeffs[1:] * np.arange(1, a.coeffs.size))
-
-
-def sin_cos_of_series(u: TruncatedSeries) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """Sine and cosine of a polynomial, exact to the polynomial's degree.
-
-    The one-machine case of the lambda recurrence: taking u's t-coefficients
-    as constant lambda orders, the lambda orders of sin and cos are their
-    t-coefficients.
-    """
-    n = u.coeffs.size
-    x = u.coeffs.reshape(n, 1, 1)
-    sc = np.zeros((n, 2, 1, 1))
-    for m in range(n):
-        _sin_cos_order(sc, x, m)
-    return TruncatedSeries(sc[:, 0, 0, 0]), TruncatedSeries(sc[:, 1, 0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -491,56 +368,45 @@ def eval_window(w: SasWindow, t_local: float) -> MachineState:
 
 
 # ---------------------------------------------------------------------------
-# Stand-alone Adomian polynomial extraction (shares the window engine kernels)
+# Stand-alone series of the nonlinearity (shares the window engine kernels)
 
 
-@dataclass(frozen=True)
-class LambdaSeries:
-    """Terms of a decomposition, indexed by lambda order then machine.
+def sin_cos_of_series(coeffs) -> tuple[np.ndarray, np.ndarray]:
+    """Sine and cosine of a polynomial, exact to the polynomial's degree.
 
-    ``term_coeffs`` has shape (orders, K, degree+1). Order zero must be
-    constant in t (the modified recursion pins the initial value there).
+    ``coeffs`` ascend in t; both results have the same length. This is the
+    one-machine case of the lambda recurrence: taking the t-coefficients as
+    constant lambda orders, the lambda orders of sin and cos are their
+    t-coefficients.
     """
-
-    term_coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.array(self.term_coeffs, dtype=float)
-        if c.ndim != 3:
-            raise ValidationError("term_coeffs must be (orders, machines, degree+1)")
-        if c.shape[2] > 1 and np.any(c[0, :, 1:] != 0.0):
-            raise ValidationError("order-0 terms must be constant series")
-        c.setflags(write=False)
-        object.__setattr__(self, "term_coeffs", c)
-
-    @property
-    def n_orders(self) -> int:
-        return self.term_coeffs.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.term_coeffs.shape[1]
-
-    def series(self, order: int, machine: int) -> TruncatedSeries:
-        return TruncatedSeries(self.term_coeffs[order, machine])
-
-    @classmethod
-    def from_window(cls, w: SasWindow) -> "LambdaSeries":
-        return cls(w.terms)
+    u = np.array(coeffs, dtype=float)
+    if u.ndim != 1:
+        raise ValidationError("series coefficients must be one-dimensional")
+    n = u.size
+    x = u.reshape(n, 1, 1)
+    sc = np.zeros((n, 2, 1, 1))
+    for m in range(n):
+        _sin_cos_order(sc, x, m)
+    return sc[:, 0, 0, 0], sc[:, 1, 0, 0]
 
 
-def adomian_terms(rhs: SwingRhsParams, x_prev: LambdaSeries,
-                  order: int) -> list[TruncatedSeries]:
-    """Adomian polynomials A_{i, order} of the swing nonlinearity.
+def adomian_terms(rhs: SwingRhsParams, terms, order: int) -> np.ndarray:
+    """Adomian polynomials A_{i, order} of the swing nonlinearity, (K, p).
 
-    Composes the nonlinearity through the lambda series of the stored terms;
-    the result equals the classical derivative definition. Requires the
-    stored terms to cover lambda orders 0..order.
+    ``terms`` (orders, K, p) holds the decomposition terms by lambda order,
+    as a window's ``terms`` does; order zero must be constant in t. The
+    nonlinearity is composed through their lambda series, which equals the
+    classical derivative definition. The terms must cover lambda orders
+    0..order.
     """
-    if order < 0 or order >= x_prev.n_orders:
+    x = np.array(terms, dtype=float)
+    if x.ndim != 3:
+        raise ValidationError("terms must be (orders, machines, degree+1)")
+    if order < 0 or order >= x.shape[0]:
         raise ValidationError(
-            f"order {order} exceeds stored lambda orders (0..{x_prev.n_orders - 1})")
-    if x_prev.k != rhs.k:
+            f"order {order} exceeds stored lambda orders (0..{x.shape[0] - 1})")
+    if np.any(x[0, :, 1:] != 0.0):
+        raise ValidationError("order-0 terms must be constant series")
+    if x.shape[1] != rhs.k:
         raise ValidationError("machine count mismatch")
-    a_n = next(islice(_nonlinearity_orders(rhs, x_prev.term_coeffs), order, None))
-    return [TruncatedSeries(a_n[i]) for i in range(rhs.k)]
+    return next(islice(_nonlinearity_orders(rhs, x), order, None))

@@ -186,7 +186,12 @@ def cmd_simulate(args) -> int:
 def cmd_compare(args) -> int:
     a = read_csv(args.csv_a)
     b = read_csv(args.csv_b)
-    ref = None if args.reference is None else args.reference - 1
+    ref = None
+    if args.reference is not None:
+        if not 1 <= args.reference <= a.k:
+            raise ValidationError(
+                f"--reference {args.reference}: expected a machine column in 1..{a.k}")
+        ref = args.reference - 1
     rep = compare(a, b, reference_machine=ref)
     if args.csv:
         _print_table(("machine", "max_abs_err", "rmse", "t_at_max"),
@@ -408,7 +413,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

@@ -151,16 +151,26 @@ def read_csv(path_or_file) -> Trajectory:
         if not header or header[0] != "t" or (len(header) - 1) % 2 != 0:
             raise ValidationError("not a trajectory CSV (bad header)")
         k = (len(header) - 1) // 2
-        rows = [[float(v) for v in line.strip().split(",")]
-                for line in fh if line.strip()]
+        rows = []
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            cells = line.strip().split(",")
+            if len(cells) != len(header):
+                raise ValidationError(f"trajectory CSV line {lineno}: "
+                                      f"{len(cells)} cells, expected {len(header)}")
+            try:
+                rows.append([float(v) for v in cells])
+            except ValueError as exc:
+                raise ValidationError(f"trajectory CSV line {lineno}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"trajectory CSV is not UTF-8 text ({exc.reason})") from None
     finally:
         if own:
             fh.close()
     if not rows:
         raise ValidationError("trajectory CSV has no samples")
     data = np.array(rows)
-    if data.shape[1] != 1 + 2 * k:
-        raise ValidationError("trajectory CSV has ragged rows")
     return Trajectory(times=data[:, 0], delta=data[:, 1:1 + k],
                       omega_dev=data[:, 1 + k:], source="file")
 

@@ -474,7 +474,11 @@ def _check_connected(case: PowerSystemCase):
 def load_case(path) -> PowerSystemCase:
     """Read and parse a case file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_case(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise CaseParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return parse_case(text)
 
 
 def builtin_case_names() -> tuple[str, ...]:

@@ -1,4 +1,4 @@
-"""Series arithmetic, Adomian polynomials and window derivation.
+"""Series evaluation, Adomian polynomials and window derivation.
 
 The expected numbers come from three independent sources: hand-computable
 textbook series, finite-difference probes of scalar functions, and sympy
@@ -12,12 +12,10 @@ import pytest
 import sympy as sp
 
 from sas_transim import adm
-from sas_transim import (DivergenceError, LambdaSeries, MachineState,
-                         ReducedNetwork, SwingRhsParams, TruncatedSeries,
-                         ValidationError, adomian_terms, derive_window,
-                         eval_window, series_add, series_differentiate,
-                         series_integrate, series_mul, series_scale,
-                         equilibrium_state, sin_cos_of_series)
+from sas_transim import (DivergenceError, MachineState, ReducedNetwork,
+                         SwingRhsParams, ValidationError, adomian_terms,
+                         derive_window, eval_window, equilibrium_state,
+                         sin_cos_of_series)
 from sas_transim.rk4 import IntegratorConfig, integrate
 
 OMEGA0 = 377.0
@@ -42,63 +40,39 @@ def table1_state():
 
 
 # ---------------------------------------------------------------------------
-# Series arithmetic
-
-
-def test_series_double_integration_of_constant():
-    """Double integration maps A0 to A0 t^2 / 2."""
-    a0 = 7.25
-    out = series_integrate(TruncatedSeries([a0]), order=2)
-    assert out.coeffs.tolist() == [0.0, 0.0, a0 / 2.0]
-
-
-def test_series_differentiate_term_by_term():
-    out = series_differentiate(TruncatedSeries([0.0, 3.7639, -2.3300]))
-    assert out.coeffs.tolist() == [3.7639, -4.6600]
-
-
-def test_series_mul_truncates():
-    out = series_mul(TruncatedSeries([1.0, 1.0]), TruncatedSeries([1.0, -1.0]),
-                     max_degree=2)
-    assert out.coeffs.tolist() == [1.0, 0.0, -1.0]
-
-
-def test_series_add_scale_operators():
-    a = TruncatedSeries([1.0, 2.0])
-    b = TruncatedSeries([0.5, -2.0, 3.0])
-    assert (a + b).coeffs.tolist() == [1.5, 0.0, 3.0]
-    assert series_add(a, b) == a + b
-    assert (2.0 * a).coeffs.tolist() == [2.0, 4.0]
-    assert series_scale(a, -1.0) == -a
-    assert (a - b).coeffs.tolist() == [0.5, 4.0, -3.0]
+# Series evaluation and sin/cos of a series
 
 
 def test_series_eval_horner_t0_exact():
-    s = TruncatedSeries([0.0957, 3.7639, -2.65, 0.1])
-    assert s(0.0) == 0.0957
+    c = np.array([0.0957, 3.7639, -2.65, 0.1])
+    assert adm._polyval(c, 0.0) == 0.0957
     # Horner against direct monomial summation
     t = 0.1
-    direct = sum(c * t ** k for k, c in enumerate(s.coeffs))
-    assert abs(s(t) - direct) < 1e-15
+    direct = sum(ck * t ** k for k, ck in enumerate(c))
+    assert abs(adm._polyval(c, t) - direct) < 1e-15
 
 
 def test_sin_cos_of_zero_series():
-    s, c = sin_cos_of_series(TruncatedSeries([0.0]))
-    assert s.coeffs.tolist() == [0.0]
-    assert c.coeffs.tolist() == [1.0]
+    s, c = sin_cos_of_series([0.0])
+    assert s.tolist() == [0.0]
+    assert c.tolist() == [1.0]
+
+
+def test_sin_cos_rejects_non_1d_input():
+    with pytest.raises(ValidationError, match="one-dimensional"):
+        sin_cos_of_series([[0.0, 1.0]])
 
 
 def test_sin_cos_maclaurin():
     """u = t reproduces the Maclaurin series of sin and cos."""
-    s, c = sin_cos_of_series(TruncatedSeries([0.0, 1.0], max_degree=4))
-    assert np.allclose(s.coeffs, [0, 1, 0, -1 / 6, 0], atol=1e-15)
-    assert np.allclose(c.coeffs, [1, 0, -0.5, 0, 1 / 24], atol=1e-15)
+    s, c = sin_cos_of_series([0.0, 1.0, 0.0, 0.0, 0.0])
+    assert np.allclose(s, [0, 1, 0, -1 / 6, 0], atol=1e-15)
+    assert np.allclose(c, [1, 0, -0.5, 0, 1 / 24], atol=1e-15)
 
 
 def test_sin_cos_against_finite_differences():
     """Coefficients of sin(0.3 + 0.1 t) match numerical differentiation."""
-    u = TruncatedSeries([0.3, 0.1], max_degree=3)
-    s, _ = sin_cos_of_series(u)
+    s, _ = sin_cos_of_series([0.3, 0.1, 0.0, 0.0])
 
     def f(t):
         return math.sin(0.3 + 0.1 * t)
@@ -109,7 +83,7 @@ def test_sin_cos_against_finite_differences():
     d2 = (f(h) - 2 * f(0) + f(-h)) / h ** 2
     d3 = (f(2 * h) - 2 * f(h) + 2 * f(-h) - f(-2 * h)) / (2 * h ** 3)
     expected = [d0, d1, d2 / 2.0, d3 / 6.0]
-    assert np.allclose(s.coeffs, expected, atol=1e-9)
+    assert np.allclose(s, expected, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -119,12 +93,14 @@ def test_sin_cos_against_finite_differences():
 def scalar_adomian(func_of_series, terms, order):
     """Classical lambda-order extraction for a scalar nonlinearity.
 
-    ``terms`` are constant term values x_0..x_n; the composition runs through
-    the package's own truncated series in the lambda variable, so this only
-    relies on series arithmetic plus the function composition rule.
+    ``terms`` are constant term values x_0..x_n; ``func_of_series`` maps the
+    ascending coefficients of their polynomial in the lambda variable,
+    truncated after ``order``, to those of the composed function.
     """
-    lam_poly = TruncatedSeries(terms, max_degree=order)
-    return func_of_series(lam_poly).coeffs[order]
+    lam_poly = np.zeros(order + 1)
+    m = min(len(terms), order + 1)
+    lam_poly[:m] = terms[:m]
+    return func_of_series(lam_poly)[order]
 
 
 def test_adomian_order0_is_f_of_x0():
@@ -144,8 +120,9 @@ def test_adomian_order1_cosine():
     assert abs(a1 - (-0.1 * math.sin(0.3))) < 1e-12
 
 
-def test_adomian_closed_forms_cubic():
-    """Orders 2..4 of f(x) = x^3 match the classical closed forms.
+def test_adomian_closed_forms_sine():
+    """Orders 2..4 of f(x) = sin x, the swing nonlinearity, match the
+    classical closed forms.
 
     With constants x_0..x_4 and f', f'' etc. evaluated by hand:
       A_2 = x2 f'(x0) + x1^2/2 f''(x0)
@@ -155,18 +132,17 @@ def test_adomian_closed_forms_cubic():
     """
     x = [0.7, 0.31, -0.13, 0.057, -0.023]
 
-    def cube(s):
-        return series_mul(series_mul(s, s), s)
+    def sine(s):
+        return sin_cos_of_series(s)[0]
 
-    f1 = 3 * x[0] ** 2
-    f2 = 6 * x[0]
-    f3 = 6.0
+    f1, f2 = math.cos(x[0]), -math.sin(x[0])
+    f3, f4 = -math.cos(x[0]), math.sin(x[0])
     a2 = x[2] * f1 + x[1] ** 2 / 2 * f2
     a3 = x[3] * f1 + x[1] * x[2] * f2 + x[1] ** 3 / 6 * f3
     a4 = (x[4] * f1 + (x[1] * x[3] + x[2] ** 2 / 2) * f2
-          + x[1] ** 2 * x[2] / 2 * f3)
+          + x[1] ** 2 * x[2] / 2 * f3 + x[1] ** 4 / 24 * f4)
     for order, expected in ((2, a2), (3, a3), (4, a4)):
-        got = scalar_adomian(cube, x, order)
+        got = scalar_adomian(sine, x, order)
         assert abs(got - expected) < 1e-12, f"order {order}: {got} vs {expected}"
 
 
@@ -204,12 +180,11 @@ def test_adomian_terms_match_sympy_composition():
         coeffs = np.zeros((n_orders, k, 9))
         coeffs[:, :, :4] = rng.uniform(-0.5, 0.5, (n_orders, k, 4))
         coeffs[0, :, 1:] = 0.0   # order zero must be constant
-        lamser = LambdaSeries(coeffs)
         x_sym = [sum(sp.Float(coeffs[n, i, p]) * t ** p * lam ** n
                      for n in range(n_orders) for p in range(4))
                  for i in range(k)]
         for order in range(n_orders):
-            got = adomian_terms(rhs, lamser, order)
+            got = adomian_terms(rhs, coeffs, order)
             for i in range(k):
                 pe = sum(gc[i, j] * sp.cos(x_sym[i] - x_sym[j])
                          + gs[i, j] * sp.sin(x_sym[i] - x_sym[j])
@@ -220,9 +195,7 @@ def test_adomian_terms_match_sympy_composition():
                 want = np.zeros(9)
                 for mono, c in zip(coeff_poly.monoms(), coeff_poly.coeffs()):
                     want[mono[0]] = float(c)
-                got_c = np.zeros(9)
-                got_c[:got[i].coeffs.size] = got[i].coeffs
-                assert np.allclose(got_c, want, atol=1e-12), (trial, order, i)
+                assert np.allclose(got[i], want, atol=1e-12), (trial, order, i)
 
 
 def test_adomian_terms_public_entry_at_table_state():
@@ -231,29 +204,30 @@ def test_adomian_terms_public_entry_at_table_state():
     rhs = table1_rhs()
     st = table1_state()
     w = derive_window(rhs, st, 3)
-    lamser = LambdaSeries.from_window(w)
-    a0 = adomian_terms(rhs, lamser, 0)[0]
+    a0 = adomian_terms(rhs, w.terms, 0)[0]
     f0 = (OMEGA0 / 6.0) * (rhs.pm[0] - 1.7 * math.sin(1.0472 + 0.0957))
-    assert abs(a0.coeffs[0] - f0) < 1e-9
-    assert np.all(a0.coeffs[1:] == 0.0)
-    a1 = adomian_terms(rhs, lamser, 1)[0]
+    assert abs(a0[0] - f0) < 1e-9
+    assert np.all(a0[1:] == 0.0)
+    a1 = adomian_terms(rhs, w.terms, 1)[0]
     fprime = -(OMEGA0 / 6.0) * 1.7 * math.cos(1.0472 + 0.0957)
     x1 = w.terms[1, 0]
-    assert np.allclose(a1.coeffs, fprime * x1, rtol=1e-12, atol=1e-12)
+    assert np.allclose(a1, fprime * x1, rtol=1e-12, atol=1e-12)
 
 
 def test_adomian_terms_rejects_missing_orders():
     rhs = table1_rhs()
-    lamser = LambdaSeries(np.zeros((2, 2, 3)))
-    with pytest.raises(ValidationError):
-        adomian_terms(rhs, lamser, 2)
+    with pytest.raises(ValidationError, match="exceeds"):
+        adomian_terms(rhs, np.zeros((2, 2, 3)), 2)
+    with pytest.raises(ValidationError, match="orders, machines"):
+        adomian_terms(rhs, np.zeros((2, 3)), 0)
 
 
 def test_lambda_series_requires_constant_order0():
-    bad = np.zeros((2, 1, 3))
+    """adomian_terms refuses terms whose order 0 varies in t."""
+    bad = np.zeros((2, 2, 3))
     bad[0, 0, 1] = 1.0
-    with pytest.raises(ValidationError):
-        LambdaSeries(bad)
+    with pytest.raises(ValidationError, match="constant"):
+        adomian_terms(table1_rhs(), bad, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,28 @@
+"""The benchmark's series studies fail only where they are known to, on seed 1.
+
+``perfbench/workloads.py`` counts an ``ieee39-series`` study as failed when
+its relative-angle error against the dt = 1e-4 RK4 reference exceeds
+``ANGLE_BOUND`` (0.05 rad). At seed 1 only ``N=3 T=0.4`` fails: a 0.4 s
+window lies beyond the engine's accuracy window, so that miss is not
+decisive. Every decisive setting (T <= 0.2 s) must pass. The failed share
+is deterministic at a fixed seed, so any change to it means that some
+study's numbers changed. Seeds 20, 25, 26 and 30 also fail ``N=4 T=0.4``
+(errors 0.0504-0.0523 rad), a 2/18 share that is the known baseline, not a
+regression. The check costs a few seconds, mostly the reference run.
+"""
+
+from test_bench_screening import _workloads
+
+
+def test_seed_1_series_failures_are_the_known_one():
+    wl = _workloads()
+    inputs = wl.make_inputs("ieee39-series", 1)
+    prep = wl.setup(inputs)
+    failed = set()
+    for study in wl.series_studies(prep, inputs):
+        verdict = study.check(study.run())
+        if not verdict.ok:
+            failed.add(study.setting)
+        if verdict.decisive:
+            assert verdict.ok, (study.setting, verdict.error)
+    assert failed == {"N=3 T=0.4"}

@@ -166,6 +166,47 @@ def test_compare_mismatched_machine_counts(tmp_path, capsys):
     assert "machine counts" in err
 
 
+TRAJ_CSV = "t,delta_1,delta_2,omega_1,omega_2\n0,0.1,0.2,0,0\n0.1,0.2,0.3,1,1\n"
+
+
+@pytest.mark.parametrize("argv, content, named", [
+    (("compare", "{ok}", "{tmp}/missing.csv"), None, "missing.csv"),
+    (("ra", "{tmp}"), None, "Is a directory"),
+    (("simulate", "smib", "--engine", "rk4", "--horizon", "0.1",
+      "--out", "{tmp}/no/x.csv"), None, "x.csv"),
+    (("ra", "{bad}"), b'{"name": "\xff"}', "not UTF-8"),
+    (("compare", "{ok}", "{bad}"), b"t,delta_1,delta_2,omega_1,omega_2\n0,0.1,abc,0,0\n",
+     "line 2"),
+    (("compare", "{ok}", "{bad}"), b"t,delta_1,delta_2,omega_1,omega_2\n0,0.1,0.2,0,0\n0.1,0.2\n",
+     "line 3"),
+    (("compare", "{ok}", "{bad}"), b"t,delta_1,delta_2,omega_1,omega_2\n0,\xff,0.2,0,0\n",
+     "not UTF-8"),
+], ids=["missing-csv", "case-is-dir", "out-dir-missing", "case-not-utf8",
+        "csv-bad-cell", "csv-ragged-row", "csv-not-utf8"])
+def test_unreadable_input_exits_1(tmp_path, capsys, argv, content, named):
+    """Missing, unreadable or malformed files are input errors that name
+    what is wrong, never tracebacks."""
+    ok = tmp_path / "ok.csv"
+    ok.write_text(TRAJ_CSV)
+    bad = tmp_path / "bad.json"
+    if content is not None:
+        bad.write_bytes(content)
+    argv = [a.format(ok=ok, tmp=tmp_path, bad=bad) for a in argv]
+    rc, _, err = run(capsys, *argv)
+    assert rc == 1
+    assert named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("ref", ["0", "3"])
+def test_compare_rejects_reference_out_of_range(tmp_path, capsys, ref):
+    """--reference is a 1-based column: 0 and K + 1 name the valid range."""
+    ok = tmp_path / "ok.csv"
+    ok.write_text(TRAJ_CSV)
+    rc, _, err = run(capsys, "compare", str(ok), str(ok), "--reference", ref)
+    assert rc == 1
+    assert f"--reference {ref}" in err and "1..2" in err
+
+
 def test_numerical_failure_exit_code(capsys):
     """Divergence inside the engine surfaces as exit code 2."""
     rc, _, err = run(capsys, "simulate", "smib", "--engine", "sas",
