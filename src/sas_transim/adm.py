@@ -28,13 +28,15 @@ sin' = cos x', cos' = -sin x' in lambda:
 
 with * the product of polynomials in t. This is the recursion of the
 differential transformation method (Liu, Sun, Yao and Wang, IEEE Trans.
-Power Syst., 2019). Each sum of products is formed as a sum of outer
-products and truncated once, so lambda order n of Pe costs
-O(n K p^2 + K p^3 + K^2 p) for K machines and p coefficients per
-polynomial. No symbolic algebra is involved, and the degree bound 2N
-exceeds every degree an N-term window reaches, so nothing is ever
-truncated. The same recurrence for one machine with constant orders gives
-the t-series of sin and cos of a polynomial.
+Power Syst., 2019). Since x_0 is constant and x_{n+1} double-integrates
+polynomials of degree 2n, x_n, S_n, C_n and A_n have degree 2n at most, so
+lambda order n works on q_n = min(2n + 1, p) coefficients of the p = 2N + 1
+an N-term window carries. Each sum of products is one matmul of outer
+products, truncated once to q_n coefficients, so lambda order n of Pe
+costs O(n K q_n^2 + K q_n^3 + K^2 q_n) for K machines. No symbolic algebra
+is involved, and no truncation drops a nonzero coefficient. The same
+recurrence for one machine with constant orders gives the t-series of sin
+and cos of a polynomial.
 
 Everything here is pure and operates on immutable values; per-machine work
 inside one lambda order is data-parallel (vectorized over the machine axis).
@@ -213,15 +215,16 @@ def _conv_table(p: int) -> np.ndarray:
     return b
 
 
-def _truncated_product(subscripts: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Truncated t-products of ``a`` and ``b``, summed as ``subscripts`` says.
+def _truncated_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum over m of the truncated t-products of a[..., :, m] and b[..., m, :].
 
-    ``subscripts`` is an einsum spec whose output ends with the two t axes
-    (``...pq``); each outer product is summed first and truncated once.
+    ``a`` holds q-coefficient polynomials down its second-to-last axis and
+    ``b`` along its last, so the sum of outer products is one matmul; it is
+    truncated once, to q coefficients.
     """
-    outer = np.einsum(subscripts, a, b)
-    p = outer.shape[-1]
-    return outer.reshape(outer.shape[:-2] + (p * p,)) @ _conv_table(p)
+    outer = a @ b
+    q = outer.shape[-1]
+    return outer.reshape(outer.shape[:-2] + (q * q,)) @ _conv_table(q)
 
 
 @lru_cache(maxsize=None)
@@ -247,38 +250,48 @@ def _polyval(c: np.ndarray, t) -> np.ndarray:
     return acc
 
 
-def _sin_cos_order(sc: np.ndarray, x: np.ndarray, n: int):
-    """Fill ``sc[n]`` = (S_n, C_n), the lambda^n coefficients of the sine and
-    cosine of each machine's angle series.
+def _sin_cos_order(sc: np.ndarray, x: np.ndarray, n: int, q: int):
+    """Fill ``sc[..., n]`` = (S_n, C_n), the lambda^n coefficients of the
+    sine and cosine of each machine's angle series, through t^(q-1).
 
     ``x`` (orders, K, p) holds the angle series by lambda order, with x[0]
-    constant in t; ``sc`` (orders, 2, K, p) must hold orders below n. Order n
-    reads x[:n+1] only.
+    constant in t; ``sc`` (2, K, p, orders) must hold orders below n. Order
+    n reads the first q coefficients of x[:n+1] and of the lower orders of
+    ``sc`` only, so it is exact when every one of them, and S_n and C_n,
+    has degree below q.
     """
     if n == 0:
-        sc[0, 0, :, 0] = np.sin(x[0, :, 0])
-        sc[0, 1, :, 0] = np.cos(x[0, :, 0])
+        sc[0, :, 0, 0] = np.sin(x[0, :, 0])
+        sc[1, :, 0, 0] = np.cos(x[0, :, 0])
         return
-    dx = x[n:0:-1] * np.arange(n, 0, -1.0)[:, None, None]   # (n - m) x_{n-m}, m < n
-    acc = _truncated_product("mskp,mkq->skpq", sc[:n], dx)
-    sc[n, 0] = acc[1] / n
-    sc[n, 1] = -acc[0] / n
+    dx = x[n:0:-1, :, :q] * np.arange(n, 0, -1.0)[:, None, None]   # (n - m) x_{n-m}, m < n
+    # (sum C_m dx, sum S_m dx) / (n, -n) = (S_n, C_n)
+    acc = _truncated_product(sc[::-1, :, :q, :n], dx.transpose(1, 0, 2))
+    sc[:, :, :q, n] = acc / np.array([n, -n])[:, None, None]
 
 
-def _nonlinearity_orders(rhs: SwingRhsParams, x: np.ndarray):
+def _nonlinearity_orders(rhs: SwingRhsParams, x: np.ndarray, widths=None):
     """Yield A_0, A_1, ... for every machine, each (K, p): the lambda^n
     coefficients of gain * (Pm - Pe) along the angle series ``x``.
 
-    A_n reads x[:n+1] only, so a caller may fill x[n] after receiving A_{n-1}.
+    ``widths[n]``, by default p, bounds the coefficients lambda order n can
+    reach: x_n, S_n, C_n and A_n must have degree below it. Order n works
+    on that many coefficients (products truncated there are exact) and pads
+    A_n back to p. A_n reads x[:n+1] only, so a caller may fill x[n] after
+    receiving A_{n-1}.
     """
     orders, k, p = x.shape
-    sc = np.zeros((orders, 2, k, p))
-    vu = np.zeros_like(sc)
-    for n in range(orders):
-        _sin_cos_order(sc, x, n)
-        vu[n] = (rhs.coupling @ sc[n].reshape(2 * k, p)).reshape(2, k, p)
-        pe = _truncated_product("mskp,mskq->kpq", sc[:n + 1], vu[n::-1])
-        a_n = -rhs.gain[:, None] * pe
+    # lambda orders last in (S, C) and next to last in (V, U), so that the
+    # sums over m of S_m V_{n-m} and C_m U_{n-m} are one matmul
+    sc = np.zeros((2, k, p, orders))
+    vu = np.zeros((2, k, orders, p))
+    neg_gain = -rhs.gain[:, None]
+    for n, q in enumerate([p] * orders if widths is None else widths):
+        _sin_cos_order(sc, x, n, q)
+        vu[:, :, n, :q] = (rhs.coupling @ sc[:, :, :q, n].reshape(2 * k, q)).reshape(2, k, q)
+        s_v, c_u = _truncated_product(sc[:, :, :q, :n + 1], vu[:, :, n::-1, :q])
+        a_n = np.zeros((k, p))
+        a_n[:, :q] = neg_gain * (s_v + c_u)
         if n == 0:
             a_n[:, 0] += rhs.gain * rhs.pm
         yield a_n
@@ -328,22 +341,20 @@ def derive_window(rhs: SwingRhsParams, state0: MachineState, n_terms: int, *,
     x = np.zeros((n_terms, rhs.k, p))
     x[0, :, 0] = state0.delta
     x[1, :, 1] = state0.omega_dev
-    orders = _nonlinearity_orders(rhs, x)
+    # deg x_n <= 2n by induction (x_{n+1} double-integrates degree 2n), and
+    # the sines, cosines and A_n of order n stay within the same degree.
+    orders = _nonlinearity_orders(rhs, x, [min(2 * n + 1, p) for n in range(n_terms)])
     a_col = rhs.a[:, None]
     ks, kk = _index_factors(p)
     # overflow to inf is caught by the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_terms - 1):
             a_n = next(orders)
-            # Add II[A_n] - a II[dx_n/dt] to x_{n+1} (x_1 already holds
-            # omega t); the damping part is -a (I[x_n] - x_n(0) t).
-            damp = x[n, :, :-1] / ks
-            damp[:, 0] -= x[n, :, 0]
-            x[n + 1, :, 2:] = a_n[:, :-2] / kk
-            x[n + 1, :, 1:] -= a_col * damp
-    bad = ~np.isfinite(x)
-    if bad.any():
-        order, machine = (int(i) for i in np.argwhere(bad)[0][:2])
+            # x_{n+1} = II[A_n] - a II[dx_n/dt] from t^2 up (x_1 already
+            # holds omega t); II[dx_n/dt] has x_n[k] / (k + 1) at t^(k+1).
+            x[n + 1, :, 2:] = a_n[:, :-2] / kk - a_col * (x[n, :, 1:-1] / ks[1:])
+    if not np.isfinite(x).all():
+        order, machine = (int(i) for i in np.argwhere(~np.isfinite(x))[0][:2])
         raise DivergenceError(
             f"non-finite series coefficient at term order {order}, "
             f"machine {machine}", t=t_start, machine=machine)
@@ -384,10 +395,10 @@ def sin_cos_of_series(coeffs) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError("series coefficients must be one-dimensional")
     n = u.size
     x = u.reshape(n, 1, 1)
-    sc = np.zeros((n, 2, 1, 1))
+    sc = np.zeros((2, 1, 1, n))
     for m in range(n):
-        _sin_cos_order(sc, x, m)
-    return sc[:, 0, 0, 0], sc[:, 1, 0, 0]
+        _sin_cos_order(sc, x, m, 1)
+    return sc[0, 0, 0], sc[1, 0, 0]
 
 
 def adomian_terms(rhs: SwingRhsParams, terms, order: int) -> np.ndarray:
@@ -409,4 +420,5 @@ def adomian_terms(rhs: SwingRhsParams, terms, order: int) -> np.ndarray:
         raise ValidationError("order-0 terms must be constant series")
     if x.shape[1] != rhs.k:
         raise ValidationError("machine count mismatch")
+    # Arbitrary terms reach any degree: the full width.
     return next(islice(_nonlinearity_orders(rhs, x), order, None))

@@ -112,6 +112,13 @@ def _initial_state(case, dt):
     return equilibrium_state(case.generators), 0.0
 
 
+def _check_iloa_max(args):
+    """Refuse a non-positive or non-finite --iloa-max before any work."""
+    if not (args.iloa_max > 0 and math.isfinite(args.iloa_max)):
+        raise ValidationError(
+            f"--iloa-max: i_loa_max must be positive and finite, got {args.iloa_max!r}")
+
+
 def _default_window(case, state, args, reference=None):
     """0.8x the system accuracy window at ``state``, at most the horizon."""
     est = 0.8 * system_ra(fleet_ra(case, state, args.iloa_max, reference=reference))
@@ -138,6 +145,7 @@ def _print_table(header, rows, as_csv, out=None):
 
 
 def cmd_simulate(args) -> int:
+    _check_iloa_max(args)
     case = _load_case(args)
     if not (args.horizon > 0 and math.isfinite(args.horizon)):
         raise ValidationError("--horizon must be positive and finite")
@@ -253,6 +261,7 @@ def _study_inputs(case, args, states, buses=None):
 
 
 def cmd_ra(args) -> int:
+    _check_iloa_max(args)
     case = _load_case(args)
     states, _ = _study_state(case, args)
     results = [(bus, inp, estimate_ra(inp))
@@ -270,6 +279,7 @@ def cmd_ra(args) -> int:
 
 
 def cmd_hmin(args) -> int:
+    _check_iloa_max(args)
     case = _load_case(args)
     if not (args.target_ra > 0):
         raise ValidationError("--target-ra must be positive")
@@ -299,6 +309,7 @@ def cmd_modes(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    _check_iloa_max(args)
     t0 = time.perf_counter()
     case = _load_case(args)
     rhs = SwingRhsParams.from_case(case, "post_fault")

@@ -71,8 +71,9 @@ class RaInputs:
             raise ValidationError("h must be positive")
         if not (self.y > 0):
             raise ValidationError("transfer admittance magnitude must be positive")
-        if not (self.i_loa_max > 0):
-            raise ValidationError("i_loa_max must be positive")
+        if not (self.i_loa_max > 0 and math.isfinite(self.i_loa_max)):
+            raise ValidationError(
+                f"i_loa_max must be positive and finite, got {self.i_loa_max!r}")
         for name in ("d", "omega0", "pm", "e", "g", "e_inf", "theta",
                      "delta0_machine", "ddelta0_machine", "delta0_ref",
                      "ddelta0_ref"):

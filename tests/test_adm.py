@@ -485,3 +485,79 @@ def test_kernel_order0_coupling_is_electrical_power(request, case_name):
         pe = (rhs.gain * rhs.pm - a0[:, 0]) / rhs.gain
         want = rhs.electrical_power(st.delta)
         assert np.abs(pe - want).max() <= 1e-13 * np.abs(want).max()
+
+
+# ---------------------------------------------------------------------------
+# Degree-bounded lambda orders
+
+
+def full_width_window_terms(rhs, state, n_terms):
+    """Reference recursion on all p = 2 n_terms + 1 coefficients at every
+    lambda order: each sum of products is one einsum outer product truncated
+    to p by a 0/1 table, with nothing bounded by degree."""
+    k, p = rhs.k, 2 * n_terms + 1
+    table = np.zeros((p * p, p))
+    for i in range(p):
+        for j in range(p - i):
+            table[i * p + j, i + j] = 1.0
+
+    def product(subscripts, a, b):
+        outer = np.einsum(subscripts, a, b)
+        return outer.reshape(outer.shape[:-2] + (p * p,)) @ table
+
+    x = np.zeros((n_terms, k, p))
+    x[0, :, 0] = state.delta
+    x[1, :, 1] = state.omega_dev
+    sc = np.zeros((n_terms, 2, k, p))
+    vu = np.zeros_like(sc)
+    ks = np.arange(1.0, p)
+    for n in range(n_terms - 1):
+        if n == 0:
+            sc[0, 0, :, 0] = np.sin(x[0, :, 0])
+            sc[0, 1, :, 0] = np.cos(x[0, :, 0])
+        else:
+            acc = product("mskp,mkq->skpq", sc[:n],
+                          x[n:0:-1] * np.arange(n, 0, -1.0)[:, None, None])
+            sc[n, 0] = acc[1] / n
+            sc[n, 1] = -acc[0] / n
+        vu[n] = (rhs.coupling @ sc[n].reshape(2 * k, p)).reshape(2, k, p)
+        a_n = -rhs.gain[:, None] * product("mskp,mskq->kpq", sc[:n + 1], vu[n::-1])
+        if n == 0:
+            a_n[:, 0] += rhs.gain * rhs.pm
+        # x_{n+1} = II[A_n] - a (I[x_n] - x_n(0) t)
+        damp = x[n, :, :-1] / ks
+        damp[:, 0] -= x[n, :, 0]
+        x[n + 1, :, 2:] = a_n[:, :-2] / (ks[:-1] * ks[1:])
+        x[n + 1, :, 1:] -= rhs.a[:, None] * damp
+    return x
+
+
+CASE_EPOCHS = [("smib", "pre_fault"), ("ieee9", "post_fault"), ("ieee39", "post_fault")]
+
+
+@pytest.mark.parametrize("case_name, epoch", CASE_EPOCHS)
+def test_window_term_n_stays_within_degree_2n(request, case_name, epoch):
+    """x_0 is constant, x_1 quadratic and x_{n+1} double-integrates degree
+    2n, so term n of every window has no coefficient above t^(2n): the
+    bound the kernel trims lambda order n to."""
+    case = request.getfixturevalue(f"{case_name}_case")
+    rhs = SwingRhsParams.from_case(case, epoch)
+    for st in perturbed_states(case):
+        for n_terms in range(2, 11):
+            terms = derive_window(rhs, st, n_terms).terms
+            for n in range(n_terms):
+                assert not terms[n, :, 2 * n + 1:].any(), (n_terms, n)
+
+
+@pytest.mark.parametrize("case_name, epoch", CASE_EPOCHS)
+def test_window_matches_full_width_recursion(request, case_name, epoch):
+    """Trimming lambda order n to degree 2n changes the terms by round-off
+    only: 1e-13 relative to each term's largest coefficient."""
+    case = request.getfixturevalue(f"{case_name}_case")
+    rhs = SwingRhsParams.from_case(case, epoch)
+    for st in perturbed_states(case):
+        for n_terms in range(2, 11):
+            got = derive_window(rhs, st, n_terms).terms
+            want = full_width_window_terms(rhs, st, n_terms)
+            scale = np.abs(want).max(axis=2, keepdims=True)
+            assert (np.abs(got - want) <= 1e-13 * scale).all(), n_terms

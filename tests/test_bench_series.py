@@ -1,4 +1,5 @@
-"""The benchmark's series studies fail only where they are known to, on seed 1.
+"""The benchmark's series studies fail only where they are known to, on seeds
+1 and 25.
 
 ``perfbench/workloads.py`` counts an ``ieee39-series`` study as failed when
 its relative-angle error against the dt = 1e-4 RK4 reference exceeds
@@ -26,3 +27,20 @@ def test_seed_1_series_failures_are_the_known_one():
         if verdict.decisive:
             assert verdict.ok, (study.setting, verdict.error)
     assert failed == {"N=3 T=0.4"}
+
+
+def test_seed_25_series_failures_are_the_known_two():
+    """At seed 25 ``N=4 T=0.4`` misses the bound by 0.0504 rad, the closest
+    call on the 0.05 rad bound over seeds 1-30, so a kernel change that
+    moves the series errors beyond round-off changes this failing set."""
+    wl = _workloads()
+    inputs = wl.make_inputs("ieee39-series", 25)
+    prep = wl.setup(inputs)
+    failed = set()
+    for study in wl.series_studies(prep, inputs):
+        verdict = study.check(study.run())
+        if not verdict.ok:
+            failed.add(study.setting)
+        if verdict.decisive:
+            assert verdict.ok, (study.setting, verdict.error)
+    assert failed == {"N=3 T=0.4", "N=4 T=0.4"}

@@ -89,6 +89,36 @@ def test_unbounded_work_is_refused_up_front(tmp_path, argv, named):
     assert named in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("window, samples", [
+    ("0.1", "101"), ("0.1", "201"), ("0.07", "101"), ("0.07", "201"),
+])
+def test_two_point_samples_that_hold_the_backward_point(tmp_path, capsys, window, samples):
+    """With 101 or 201 evenly spaced samples T - T/100, the two-point
+    handoff's extra point, is already a sample: exactly at T = 0.1 s, one
+    ulp away at 0.07 s. It is not added again, so the CSV times, at 9
+    significant digits, still increase strictly."""
+    out = tmp_path / "t.csv"
+    rc, _, err = run(capsys, "simulate", "smib", "--horizon", "1", "--window", window,
+                     "--handoff", "two-point", "--samples", samples, "--out", str(out))
+    assert rc == 0, err
+    times = read_csv(str(out)).times
+    assert (np.diff(times) > 0).all()
+    assert times[-1] == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("argv", [
+    ("ra", "smib", "--iloa-max", "inf"),
+    ("hmin", "smib", "--target-ra", "0.2", "--iloa-max", "inf"),
+    ("simulate", "smib", "--horizon", "1", "--adaptive", "--iloa-max", "inf"),
+], ids=["ra", "hmin", "simulate"])
+def test_infinite_iloa_max_is_refused(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)   # where a wrongly accepted run writes its CSV
+    rc, text, err = run(capsys, *argv)
+    assert rc == 1
+    assert "i_loa_max" in err and "Traceback" not in err
+    assert text == ""
+
+
 def test_simulate_unknown_case(capsys):
     rc, _, err = run(capsys, "simulate", "nosuch.json", "--engine", "rk4",
                      "--horizon", "1")

@@ -8,8 +8,8 @@ import pytest
 
 from sas_transim import (DivergenceError, MachineState, Trajectory,
                          ValidationError, WindowConfig, derive_window,
-                         handoff_state, i_loa, simulate_sas)
-from sas_transim.mmadm import read_csv
+                         eval_window, handoff_state, i_loa, simulate_sas)
+from sas_transim.mmadm import _sample_times, read_csv
 from sas_transim.ra import ra_inputs_for_machine, estimate_ra
 from sas_transim.rk4 import IntegratorConfig, integrate
 
@@ -27,6 +27,12 @@ def test_config_validation():
         WindowConfig(t_init=0.1, samples_per_window=2)
     with pytest.raises(ValidationError):
         WindowConfig(t_init=0.1, handoff_mode="midpoint")
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_config_requires_finite_iloa_max(value):
+    with pytest.raises(ValidationError, match="i_loa_max"):
+        WindowConfig(t_init=0.1, i_loa_max=value)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +236,43 @@ def test_adaptive_cut_keeps_indicator_below_threshold():
         assert i_loa(w, cut) <= 2.0 + 1e-9
         state = handoff_state(w, cut)
         t_prev = b
+
+
+@pytest.mark.parametrize("cfg", [
+    WindowConfig(t_init=0.1, n_terms=5),
+    WindowConfig(t_init=0.1, n_terms=4, samples_per_window=5, handoff_mode="two_point"),
+    WindowConfig(t_init=0.25, n_terms=3, adaptive=True, i_loa_max=2.0,
+                 samples_per_window=8),
+], ids=["analytic", "two-point", "adaptive-cut"])
+def test_driver_samples_equal_eval_window_bit_for_bit(cfg):
+    """The driver evaluates angle, speed and indicator in one pass per
+    window. Replayed window by window, every recorded sample equals
+    eval_window at its local time, the cut falls before the first sample
+    whose i_loa exceeds the limit, and the handed state equals
+    handoff_state, all bit for bit."""
+    rhs = table1_rhs()
+    st = MachineState(np.array([1.1429, 0.0]), np.array([4.5, 0.0]))
+    horizon = 1.5
+    traj = simulate_sas(rhs, st, horizon, cfg)
+    assert (traj.adaptive_cuts > 0) == cfg.adaptive
+    row, elapsed, state = 1, 0.0, st
+    for boundary in traj.window_boundaries:
+        t_w = min(cfg.t_init, horizon - elapsed)
+        w = derive_window(rhs, state, cfg.n_terms, window=t_w)
+        samples = _sample_times(t_w, cfg)
+        if cfg.adaptive:
+            over = [i for i, s in enumerate(samples) if i_loa(w, s) > cfg.i_loa_max]
+            samples = samples[:over[0]] if over else samples
+        state = handoff_state(w, samples[-1], cfg.handoff_mode)
+        for s in samples:
+            want = state if s == samples[-1] else eval_window(w, s)
+            assert traj.times[row] == elapsed + s
+            assert np.array_equal(traj.delta[row], want.delta)
+            assert np.array_equal(traj.omega_dev[row], want.omega_dev)
+            row += 1
+        elapsed += samples[-1]
+        assert boundary == elapsed
+    assert row == traj.times.size
 
 
 def test_adaptive_underflow_raises():

@@ -191,6 +191,12 @@ def test_ra_rejects_bad_inputs():
         table1_inputs(i_loa_max=0.0)
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_ra_inputs_require_finite_iloa_max(value):
+    with pytest.raises(ValidationError, match="i_loa_max"):
+        table1_inputs(i_loa_max=value)
+
+
 # ---------------------------------------------------------------------------
 # Minimum inertia
 
