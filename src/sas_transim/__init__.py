@@ -10,9 +10,8 @@ from .errors import (CaseParseError, DivergenceError, NumericalError,
 from .mmadm import (Trajectory, WindowConfig, handoff_state, i_loa, read_csv,
                     simulate_sas)
 from .netmodel import (BranchSpec, BusSpec, EventScript, GeneratorParams,
-                       PowerSystemCase, ReducedNetwork, augment_and_reduce,
-                       augmented_ybus, build_ybus, builtin_case,
-                       builtin_case_names, init_from_powerflow,
+                       PowerSystemCase, augmented_ybus, build_ybus,
+                       builtin_case, builtin_case_names, init_from_powerflow,
                        initialized_case, kron_reduce, load_case, parse_case,
                        resolve_case, set_inertia)
 from .ra import (ModeAnalysis, RaInputs, RaResult, estimate_hmin, estimate_ra,

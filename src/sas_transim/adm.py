@@ -14,8 +14,8 @@ where II is double integration from 0 and a = D/(2H). A_n is the nth
 Adomian polynomial: the lambda^n coefficient of f applied to the
 lambda-weighted term sum x = sum_n lambda^n x_n.
 
-The coupling is Pe_i = sum_j Gc_ij cos(x_i - x_j) + Gs_ij sin(x_i - x_j).
-With S_i and C_i the lambda series of sin x_i and cos x_i, the identities
+The coupling is Pe_i = sum_j Gc_ij cos(x_i - x_j) + Gs_ij sin(x_i - x_j),
+with Gc_ij + j Gs_ij = E_i E_j Y_ij on the complex EMF-node admittance Y. With S_i and C_i the lambda series of sin x_i and cos x_i, the identities
 cos(x_i - x_j) = C_i C_j + S_i S_j and sin(x_i - x_j) = S_i C_j - C_i S_j give
 
     Pe_i = S_i V_i + C_i U_i,    (V, U) = [[Gc, Gs], [-Gs, Gc]] (S, C),
@@ -52,8 +52,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import DivergenceError, ValidationError
-from .netmodel import (PowerSystemCase, ReducedNetwork, augment_and_reduce,
-                       initialized_case)
+from .netmodel import PowerSystemCase, initialized_case
 
 
 # ---------------------------------------------------------------------------
@@ -90,20 +89,29 @@ class SwingRhsParams:
 
     Encodes d delta_i/dt = dw_i and
     d dw_i/dt = (omega0 / 2 H_i)(Pm_i - Pe_i(delta)) - (D_i / 2 H_i) dw_i with
-    Pe_i = sum_j E_i E_j Y_ij cos(delta_i - delta_j - theta_ij) (the j = i
-    term is the self-conductance payment E_i^2 G_ii). An infinite inertia
-    marks a node with prescribed drift: its acceleration is identically zero.
+    Pe_i = sum_j E_i E_j (G_ij cos delta_ij + B_ij sin delta_ij), where
+    delta_ij = delta_i - delta_j and ``y`` = G + jB is the complex K-by-K
+    admittance among the machine EMF nodes (the j = i term is the
+    self-conductance payment E_i^2 G_ii). An infinite inertia marks a node
+    with prescribed drift: its acceleration is identically zero.
     """
 
     h: np.ndarray
     d: np.ndarray
     pm: np.ndarray
     e: np.ndarray
-    network: ReducedNetwork
+    y: np.ndarray
     omega0: float
 
     def __post_init__(self):
-        k = self.network.k
+        y = np.array(self.y, dtype=complex)
+        if y.ndim != 2 or y.shape[0] != y.shape[1]:
+            raise ValidationError("admittance matrix y must be square")
+        if not np.isfinite(y).all():
+            raise ValidationError("admittance matrix y contains non-finite entries")
+        y.setflags(write=False)
+        object.__setattr__(self, "y", y)
+        k = self.k
         for name in ("h", "d", "pm", "e"):
             arr = np.array(getattr(self, name), dtype=float)
             if arr.shape != (k,):
@@ -123,7 +131,7 @@ class SwingRhsParams:
 
     @property
     def k(self) -> int:
-        return self.network.k
+        return self.y.shape[0]
 
     @cached_property
     def gain(self) -> np.ndarray:
@@ -143,12 +151,12 @@ class SwingRhsParams:
 
     @cached_property
     def _blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        """(Gc, Gs) with Gc_ij = E_i E_j |Y_ij| cos(theta_ij) and Gs_ij
-        likewise with sin; contiguous, because ``electrical_power`` runs
-        measurably slower on strided blocks of ``coupling``."""
-        eey = np.outer(self.e, self.e) * self.network.y_mag
-        gc = eey * np.cos(self.network.y_ang)
-        gs = eey * np.sin(self.network.y_ang)
+        """(Gc, Gs) with Gc_ij = E_i E_j G_ij and Gs_ij = E_i E_j B_ij;
+        contiguous, because ``electrical_power`` runs measurably slower on
+        strided blocks of ``coupling``."""
+        eey = np.outer(self.e, self.e)
+        gc = eey * self.y.real
+        gs = eey * self.y.imag
         gc.setflags(write=False)
         gs.setflags(write=False)
         return gc, gs
@@ -184,7 +192,7 @@ class SwingRhsParams:
             d=np.array([g.D for g in gens]),
             pm=np.array([g.Pm for g in gens]),
             e=np.array([g.E for g in gens]),
-            network=augment_and_reduce(case, epoch),
+            y=case.emf_admittance(epoch),
             omega0=case.omega0,
         )
 

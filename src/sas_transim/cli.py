@@ -68,14 +68,18 @@ def _add_case_args(p):
 
 def _load_case(args):
     case = resolve_case(args.case)
-    if args.h3 is not None:
-        case = set_inertia(case, 3, args.h3)
+    overrides = [] if args.h3 is None else [("--h3", 3, args.h3)]
     for spec in args.set_h:
         try:
             bus, h = spec.split("=")
-            case = set_inertia(case, int(bus), float(h))
+            overrides.append((f"--set-h {spec!r}", int(bus), float(h)))
         except ValueError as exc:
             raise ValidationError(f"--set-h {spec!r}: expected BUS=H") from exc
+    for flag, bus, h in overrides:
+        try:
+            case = set_inertia(case, bus, h)
+        except ValidationError as exc:
+            raise ValidationError(f"{flag}: {exc}") from None
     return initialized_case(case)
 
 
@@ -112,11 +116,17 @@ def _initial_state(case, dt):
     return equilibrium_state(case.generators), 0.0
 
 
-def _check_iloa_max(args):
-    """Refuse a non-positive or non-finite --iloa-max before any work."""
-    if not (args.iloa_max > 0 and math.isfinite(args.iloa_max)):
-        raise ValidationError(
-            f"--iloa-max: i_loa_max must be positive and finite, got {args.iloa_max!r}")
+# The library's name for each option that must be positive and finite.
+_POSITIVE = {"iloa_max": "i_loa_max", "window": "t_init", "horizon": "horizon"}
+
+
+def _check_positive(args, *dests):
+    """Refuse a given option that is non-positive or non-finite before any work."""
+    for dest in dests:
+        value = getattr(args, dest)
+        if value is not None and not (value > 0 and math.isfinite(value)):
+            raise ValidationError(f"--{dest.replace('_', '-')}: {_POSITIVE[dest]} "
+                                  f"must be positive and finite, got {value!r}")
 
 
 def _default_window(case, state, args, reference=None):
@@ -145,10 +155,8 @@ def _print_table(header, rows, as_csv, out=None):
 
 
 def cmd_simulate(args) -> int:
-    _check_iloa_max(args)
+    _check_positive(args, "iloa_max", "window", "horizon")
     case = _load_case(args)
-    if not (args.horizon > 0 and math.isfinite(args.horizon)):
-        raise ValidationError("--horizon must be positive and finite")
     kind, ref_bus = _reference_arg(case, args.reference)
     if kind == "bus" and args.relative:
         raise ValidationError(f"--relative needs a generator reference, not bus:{ref_bus}")
@@ -261,7 +269,7 @@ def _study_inputs(case, args, states, buses=None):
 
 
 def cmd_ra(args) -> int:
-    _check_iloa_max(args)
+    _check_positive(args, "iloa_max")
     case = _load_case(args)
     states, _ = _study_state(case, args)
     results = [(bus, inp, estimate_ra(inp))
@@ -279,7 +287,7 @@ def cmd_ra(args) -> int:
 
 
 def cmd_hmin(args) -> int:
-    _check_iloa_max(args)
+    _check_positive(args, "iloa_max")
     case = _load_case(args)
     if not (args.target_ra > 0):
         raise ValidationError("--target-ra must be positive")
@@ -309,7 +317,7 @@ def cmd_modes(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    _check_iloa_max(args)
+    _check_positive(args, "iloa_max", "window", "horizon")
     t0 = time.perf_counter()
     case = _load_case(args)
     rhs = SwingRhsParams.from_case(case, "post_fault")

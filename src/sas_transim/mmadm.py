@@ -51,8 +51,9 @@ class WindowConfig:
     handoff_mode: str = "analytic_derivative"
 
     def __post_init__(self):
-        if not (self.t_init > 0):
-            raise ValidationError("t_init must be positive")
+        if not (self.t_init > 0 and math.isfinite(self.t_init)):
+            raise ValidationError(
+                f"t_init must be positive and finite, got {self.t_init!r}")
         if not (self.i_loa_max > 0 and math.isfinite(self.i_loa_max)):
             raise ValidationError(
                 f"i_loa_max must be positive and finite, got {self.i_loa_max!r}")

@@ -7,8 +7,9 @@ per-epoch bus admittance matrices are assembled (pre-fault, fault-on,
 post-fault), loads are folded in as constant-impedance shunts, generator
 internal nodes are appended behind the transient reactances, and Kron
 reduction eliminates everything except the internal nodes. The resulting
-reduced admittance matrix among generator EMF nodes is what the swing
-equations run on.
+complex admittance Y = G + jB among generator EMF nodes
+(:meth:`PowerSystemCase.emf_admittance`) is what the swing equations run on:
+Pe_i = sum_j E_i E_j (G_ij cos delta_ij + B_ij sin delta_ij).
 
 All values are immutable after construction; every operation here is a pure
 function, safe to call concurrently. A case computes its verified
@@ -40,8 +41,6 @@ FAULT_ADMITTANCE = 1.0e6
 
 # Case files live here unless SAS_TRANSIM_CASE_DIR points elsewhere.
 CASE_DIR_ENV = "SAS_TRANSIM_CASE_DIR"
-
-_DEFAULT_OMEGA0 = 2.0 * math.pi * 60.0
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +85,6 @@ class GeneratorParams:
     E: float | None = None     # internal EMF magnitude, pu
     delta0: float | None = None  # internal angle at equilibrium, rad
     Pm: float | None = None    # mechanical power, pu
-    omega0: float = _DEFAULT_OMEGA0  # synchronous speed, rad/s (system-wide)
 
     @property
     def initialized(self) -> bool:
@@ -175,56 +173,6 @@ class PowerSystemCase:
             y.setflags(write=False)
             self._emf_networks[epoch, bus] = y
         return y
-
-
-@dataclass(frozen=True)
-class ReducedNetwork:
-    """K-by-K admittance among generator internal nodes for one topology epoch.
-
-    Stored as magnitude/angle pairs; ``y_mag[i, j]`` and ``y_ang[i, j]`` give
-    Y_ij and theta_ij of the coupling between machines i and j, with the
-    diagonal carrying the self terms (G_ii = Y_ii cos theta_ii).
-    """
-
-    y_mag: np.ndarray
-    y_ang: np.ndarray
-
-    def __post_init__(self):
-        y_mag = np.asarray(self.y_mag, dtype=float)
-        y_ang = np.asarray(self.y_ang, dtype=float)
-        if y_mag.ndim != 2 or y_mag.shape[0] != y_mag.shape[1]:
-            raise ValidationError("reduced network matrices must be square")
-        if y_mag.shape != y_ang.shape:
-            raise ValidationError("y_mag and y_ang shapes differ")
-        if not (np.isfinite(y_mag).all() and np.isfinite(y_ang).all()):
-            raise ValidationError("reduced network contains non-finite entries")
-        if (y_mag < 0).any():
-            raise ValidationError("admittance magnitudes must be non-negative")
-        y_mag.setflags(write=False)
-        y_ang.setflags(write=False)
-        object.__setattr__(self, "y_mag", y_mag)
-        object.__setattr__(self, "y_ang", y_ang)
-
-    @classmethod
-    def from_complex(cls, y: np.ndarray) -> "ReducedNetwork":
-        # The network is reciprocal; symmetrize away reduction round-off.
-        y = 0.5 * (y + y.T)
-        return cls(np.abs(y), np.angle(y))
-
-    @property
-    def k(self) -> int:
-        return self.y_mag.shape[0]
-
-    @cached_property
-    def complex_matrix(self) -> np.ndarray:
-        y = self.y_mag * np.exp(1j * self.y_ang)
-        y.setflags(write=False)
-        return y
-
-    @property
-    def conductance(self) -> np.ndarray:
-        """Self-conductances G_ii."""
-        return np.diag(self.y_mag) * np.cos(np.diag(self.y_ang))
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +304,6 @@ def parse_case(text) -> PowerSystemCase:
             E=_field(g, "E", path, float, None),
             delta0=_field(g, "delta0", path, float, None),
             Pm=_field(g, "Pm", path, float, None),
-            omega0=omega0,
         )
         if gen.bus not in id_set:
             raise CaseParseError(f"{path}.bus: unknown bus {gen.bus}")
@@ -506,8 +453,10 @@ def resolve_case(spec: str) -> PowerSystemCase:
 
 def set_inertia(case: PowerSystemCase, bus: int, H: float) -> PowerSystemCase:
     """Return a copy of the case with one generator's inertia replaced."""
-    if H <= 0:
-        raise ValidationError("inertia must be positive")
+    if not (0 < H < math.inf):
+        raise ValidationError(
+            f"inertia of the generator at bus {bus} must be positive and "
+            f"finite, got {H!r}")
     pos = case.generator_position(bus)
     gens = list(case.generators)
     gens[pos] = replace(gens[pos], H=H)
@@ -628,11 +577,6 @@ def _check_no_island(y, keep, elim):
             f"nodes {island} are islanded (no connection to any kept node)")
 
 
-def augment_and_reduce(case: PowerSystemCase, epoch: str) -> ReducedNetwork:
-    """Reduced admittance among generator internal nodes for one epoch."""
-    return ReducedNetwork.from_complex(case.emf_admittance(epoch))
-
-
 # ---------------------------------------------------------------------------
 # Classical-model initialization from the solved power flow
 
@@ -663,8 +607,7 @@ def init_from_powerflow(case: PowerSystemCase) -> tuple[GeneratorParams, ...]:
             i_g = inj[idx[g.bus]]
             emf[j] = v[idx[g.bus]] + 1j * g.xdp * i_g
 
-    red = augment_and_reduce(case, "pre_fault")
-    i_int = red.complex_matrix @ emf
+    i_int = case.emf_admittance("pre_fault") @ emf
     pe0 = (emf * np.conj(i_int)).real
 
     out = []

@@ -34,10 +34,12 @@ import numpy as np
 
 from .adm import MachineState, SwingRhsParams, derive_window
 from .errors import NumericalError, ValidationError
-from .netmodel import PowerSystemCase, ReducedNetwork, initialized_case
+from .netmodel import PowerSystemCase, initialized_case
 from .netmodel import kron_reduce  # noqa: F401  (the benchmark's tracer checks this binding)
 
 _RA_MAX = 10.0     # s; indicator roots beyond this count as "no root"
+# s; estimate_hmin clamps H_min up to _H_LO and refuses one above _H_HI
+_H_LO, _H_HI = 1e-2, 1e4
 
 
 @dataclass(frozen=True)
@@ -101,18 +103,16 @@ def _pair_rhs(inp: RaInputs, inertias) -> SwingRhsParams:
     serves every inertia.
     """
     n = len(inertias)
-    theta_self = 0.0 if inp.g >= 0 else math.pi
-    y_mag = np.zeros((2 * n, 2 * n))
-    y_ang = np.zeros((2 * n, 2 * n))
+    y12 = cmath.rect(inp.y, inp.theta)
+    y = np.zeros((2 * n, 2 * n), dtype=complex)
     for i in range(0, 2 * n, 2):
-        y_mag[i:i + 2, i:i + 2] = [[abs(inp.g), inp.y], [inp.y, 0.0]]
-        y_ang[i:i + 2, i:i + 2] = [[theta_self, inp.theta], [inp.theta, 0.0]]
+        y[i:i + 2, i:i + 2] = [[inp.g, y12], [y12, 0.0]]
     return SwingRhsParams(
         h=[x for h in inertias for x in (h, math.inf)],
         d=[inp.d, 0.0] * n,
         pm=[inp.pm, 0.0] * n,
         e=[inp.e, inp.e_inf] * n,
-        network=ReducedNetwork(y_mag, y_ang),
+        y=y,
         omega0=inp.omega0,
     )
 
@@ -188,8 +188,7 @@ def _positive_u(q: float, p: float, level: float):
     return [u for u in roots if 0.0 < u < math.inf]
 
 
-def estimate_hmin(inp: RaInputs, target_ra: float,
-                  h_lo: float = 1e-2, h_hi: float = 1e4) -> float:
+def estimate_hmin(inp: RaInputs, target_ra: float) -> float:
     """Smallest inertia H such that every H' >= H reaches ``target_ra``.
 
     An unbounded window (no indicator root) counts as reaching any target,
@@ -207,7 +206,7 @@ def estimate_hmin(inp: RaInputs, target_ra: float,
 
     The smallest candidate u* that (1 + 1e-9) u* misses is the boundary
     (a touching candidate is passed over), and H_min = 1/u*, clamped up to
-    ``h_lo``; an H_min above ``h_hi`` raises NumericalError. Where R_A grows
+    1e-2 s; an H_min above 1e4 s raises NumericalError. Where R_A grows
     with H this is simply the first H whose window reaches the target. The
     result is checked with :func:`estimate_ra` and nudged up by a relative
     1e-12, at most 8 times, to absorb round-off of the fit.
@@ -240,12 +239,12 @@ def estimate_hmin(inp: RaInputs, target_ra: float,
         return _smallest_indicator_root(c1, c2, i_max)[0] < target_ra
 
     u_star = next((u for u in sorted(candidates)
-                   if u < 1.0 / h_lo and misses(u * (1.0 + 1e-9))), None)
-    if u_star is not None and u_star < 1.0 / h_hi:
+                   if u < 1.0 / _H_LO and misses(u * (1.0 + 1e-9))), None)
+    if u_star is not None and u_star < 1.0 / _H_HI:
         raise NumericalError(
-            f"target R_A={target_ra}s unreachable up to H={h_hi}s: inertias "
+            f"target R_A={target_ra}s unreachable up to H={_H_HI}s: inertias "
             f"just below {1.0 / u_star:.6g}s miss it")
-    h_min = h_lo if u_star is None else 1.0 / u_star
+    h_min = _H_LO if u_star is None else 1.0 / u_star
     for h in h_min * (1.0 + 1e-12) ** np.arange(9):
         if estimate_ra(replace(inp, h=float(h))).r_a >= target_ra:
             return float(h)

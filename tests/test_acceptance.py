@@ -407,8 +407,8 @@ def test_criterion_8_property_suite(ieee9_case):
     w = derive_window(rhs9, st, 3)
     from sas_transim import adomian_terms
     # E_i E_j |Y_ij| cos/sin theta_ij, independent of rhs9.coupling
-    eey = np.outer(rhs9.e, rhs9.e) * rhs9.network.y_mag
-    gc, gs = eey * np.cos(rhs9.network.y_ang), eey * np.sin(rhs9.network.y_ang)
+    eey = np.outer(rhs9.e, rhs9.e) * np.abs(rhs9.y)
+    gc, gs = eey * np.cos(np.angle(rhs9.y)), eey * np.sin(np.angle(rhs9.y))
     lam_s, t_s = sp.symbols("lam t")
     x_sym = [sum(sp.Float(w.terms[n, i, p]) * t_s ** p * lam_s ** n
                  for n in range(3) for p in range(w.terms.shape[2]))

@@ -12,10 +12,9 @@ import pytest
 import sympy as sp
 
 from sas_transim import adm
-from sas_transim import (DivergenceError, MachineState, ReducedNetwork,
-                         SwingRhsParams, ValidationError, adomian_terms,
-                         derive_window, eval_window, equilibrium_state,
-                         sin_cos_of_series)
+from sas_transim import (DivergenceError, MachineState, SwingRhsParams,
+                         ValidationError, adomian_terms, derive_window,
+                         eval_window, equilibrium_state, sin_cos_of_series)
 from sas_transim.rk4 import IntegratorConfig, integrate
 
 OMEGA0 = 377.0
@@ -29,8 +28,8 @@ def table1_rhs(d=1.0):
         d=np.array([d, 0.0]),
         pm=np.array([1.7 * math.sin(1.0472), 0.0]),
         e=np.array([1.0, 1.0]),
-        network=ReducedNetwork(np.array([[0.0, 1.7], [1.7, 0.0]]),
-                               np.array([[0.0, math.pi / 2], [math.pi / 2, 0.0]])),
+        y=(np.array([[0.0, 1.7], [1.7, 0.0]])
+           * np.exp(1j * np.array([[0.0, math.pi / 2], [math.pi / 2, 0.0]]))),
         omega0=OMEGA0,
     )
 
@@ -50,6 +49,19 @@ def test_series_eval_horner_t0_exact():
     t = 0.1
     direct = sum(ck * t ** k for k, ck in enumerate(c))
     assert abs(adm._polyval(c, t) - direct) < 1e-15
+
+
+@pytest.mark.parametrize("y, named", [
+    (np.ones((2, 3)), "square"),
+    (np.ones(2), "square"),
+    (np.array([[0.0, math.nan], [1.0, 0.0]]), "non-finite"),
+    (np.array([[0.0, complex(0.0, math.inf)], [1.0, 0.0]]), "non-finite"),
+    (np.zeros((3, 3)), "one entry per machine"),
+], ids=["non-square", "one-dimensional", "nan", "inf", "wrong-size"])
+def test_rhs_refuses_a_bad_admittance_matrix(y, named):
+    with pytest.raises(ValidationError, match=named):
+        SwingRhsParams(h=[3.0, 4.0], d=[0.0, 0.0], pm=[0.0, 0.0], e=[1.0, 1.0],
+                       y=y, omega0=OMEGA0)
 
 
 def test_sin_cos_of_zero_series():
@@ -158,7 +170,7 @@ def random_rhs(rng, k=3):
         d=rng.uniform(0.0, 2.0, k),
         pm=rng.uniform(-1.0, 2.0, k),
         e=rng.uniform(0.9, 1.1, k),
-        network=ReducedNetwork(y, ang),
+        y=y * np.exp(1j * ang),
         omega0=OMEGA0,
     )
     return rhs
@@ -173,8 +185,8 @@ def test_adomian_terms_match_sympy_composition():
         rhs = random_rhs(rng)
         k = rhs.k
         # E_i E_j |Y_ij| cos/sin theta_ij, independent of rhs.coupling
-        eey = np.outer(rhs.e, rhs.e) * rhs.network.y_mag
-        gc, gs = eey * np.cos(rhs.network.y_ang), eey * np.sin(rhs.network.y_ang)
+        eey = np.outer(rhs.e, rhs.e) * np.abs(rhs.y)
+        gc, gs = eey * np.cos(np.angle(rhs.y)), eey * np.sin(np.angle(rhs.y))
         n_orders = 3
         # random cubics per order, padded so no product truncates
         coeffs = np.zeros((n_orders, k, 9))
@@ -183,19 +195,21 @@ def test_adomian_terms_match_sympy_composition():
         x_sym = [sum(sp.Float(coeffs[n, i, p]) * t ** p * lam ** n
                      for n in range(n_orders) for p in range(4))
                  for i in range(k)]
-        for order in range(n_orders):
-            got = adomian_terms(rhs, coeffs, order)
-            for i in range(k):
-                pe = sum(gc[i, j] * sp.cos(x_sym[i] - x_sym[j])
-                         + gs[i, j] * sp.sin(x_sym[i] - x_sym[j])
-                         for j in range(k))
-                f_i = rhs.gain[i] * (rhs.pm[i] - pe)
-                expanded = sp.series(f_i, lam, 0, order + 1).removeO().expand()
+        got = [adomian_terms(rhs, coeffs, order) for order in range(n_orders)]
+        for i in range(k):
+            pe = sum(gc[i, j] * sp.cos(x_sym[i] - x_sym[j])
+                     + gs[i, j] * sp.sin(x_sym[i] - x_sym[j])
+                     for j in range(k))
+            f_i = rhs.gain[i] * (rhs.pm[i] - pe)
+            # one expansion through the highest order serves every order
+            expanded = sp.series(f_i, lam, 0, n_orders).removeO().expand()
+            for order in range(n_orders):
                 coeff_poly = sp.Poly(expanded.coeff(lam, order), t)
                 want = np.zeros(9)
                 for mono, c in zip(coeff_poly.monoms(), coeff_poly.coeffs()):
                     want[mono[0]] = float(c)
-                assert np.allclose(got[i], want, atol=1e-12), (trial, order, i)
+                assert np.allclose(got[order][i], want, rtol=0.0, atol=1e-12), \
+                    (trial, order, i)
 
 
 def test_adomian_terms_public_entry_at_table_state():
@@ -276,7 +290,7 @@ def test_window_free_motion_exact():
     rhs = SwingRhsParams(
         h=np.array([4.0]), d=np.array([0.0]), pm=np.array([0.0]),
         e=np.array([1.0]),
-        network=ReducedNetwork(np.array([[0.0]]), np.array([[0.0]])),
+        y=np.zeros((1, 1)),
         omega0=OMEGA0)
     st = MachineState(np.array([0.4]), np.array([1.3]))
     w = derive_window(rhs, st, 4)
@@ -415,8 +429,8 @@ def pairwise_window_terms(rhs, state, n_terms):
     coefficient by coefficient; returns the (n_terms, K, 2 n_terms + 1)
     terms."""
     k, p = rhs.k, 2 * n_terms + 1
-    eey = np.outer(rhs.e, rhs.e) * rhs.network.y_mag
-    gc, gs = eey * np.cos(rhs.network.y_ang), eey * np.sin(rhs.network.y_ang)
+    eey = np.outer(rhs.e, rhs.e) * np.abs(rhs.y)
+    gc, gs = eey * np.cos(np.angle(rhs.y)), eey * np.sin(np.angle(rhs.y))
 
     def conv(a, b):
         out = np.zeros(a.shape)

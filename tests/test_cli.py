@@ -119,6 +119,33 @@ def test_infinite_iloa_max_is_refused(tmp_path, monkeypatch, capsys, argv):
     assert text == ""
 
 
+@pytest.mark.parametrize("argv, named", [
+    (("simulate", "ieee9", "--horizon", "1", "--window", "inf"), "--window"),
+    (("simulate", "ieee9", "--horizon", "1", "--window", "nan"), "--window"),
+    (("bench", "ieee9", "--horizon", "1", "--window", "inf"), "--window"),
+    (("bench", "ieee9", "--horizon", "nan", "--window", "0.1"), "--horizon"),
+], ids=["simulate-inf", "simulate-nan", "bench-inf", "bench-horizon-nan"])
+def test_non_finite_window_is_refused(tmp_path, monkeypatch, capsys, argv, named):
+    monkeypatch.chdir(tmp_path)   # where a wrongly accepted run writes its CSV
+    rc, text, err = run(capsys, *argv)
+    assert rc == 1
+    assert named in err and "Traceback" not in err
+    assert text == "" and os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("flags, named", [
+    (("--set-h", "2=inf"), ("--set-h", "bus 2", "inf")),
+    (("--set-h", "2=nan"), ("--set-h", "bus 2", "nan")),
+    (("--h3", "inf"), ("--h3", "bus 3", "inf")),
+], ids=["set-h-inf", "set-h-nan", "h3-inf"])
+def test_non_finite_inertia_is_refused(tmp_path, monkeypatch, capsys, flags, named):
+    monkeypatch.chdir(tmp_path)   # where a wrongly accepted run writes its CSV
+    rc, text, err = run(capsys, "simulate", "ieee9", "--horizon", "1", *flags)
+    assert rc == 1
+    assert all(word in err for word in named) and "Traceback" not in err
+    assert text == "" and os.listdir(tmp_path) == []
+
+
 def test_simulate_unknown_case(capsys):
     rc, _, err = run(capsys, "simulate", "nosuch.json", "--engine", "rk4",
                      "--horizon", "1")

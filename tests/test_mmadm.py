@@ -35,6 +35,12 @@ def test_config_requires_finite_iloa_max(value):
         WindowConfig(t_init=0.1, i_loa_max=value)
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_config_requires_finite_t_init(value):
+    with pytest.raises(ValidationError, match="t_init"):
+        WindowConfig(t_init=value)
+
+
 # ---------------------------------------------------------------------------
 # Indicator
 
@@ -57,11 +63,11 @@ def test_i_loa_grows_into_the_window():
 
 
 def test_i_loa_zero_for_free_motion():
-    from sas_transim import ReducedNetwork, SwingRhsParams
+    from sas_transim import SwingRhsParams
     rhs = SwingRhsParams(
         h=np.array([4.0]), d=np.array([0.0]), pm=np.array([0.0]),
         e=np.array([1.0]),
-        network=ReducedNetwork(np.array([[0.0]]), np.array([[0.0]])),
+        y=np.zeros((1, 1)),
         omega0=377.0)
     w = derive_window(rhs, MachineState(np.array([0.1]), np.array([2.0])), 4,
                       window=1.0)
@@ -73,11 +79,11 @@ def test_i_loa_zero_for_free_motion():
 
 
 def test_handoff_modes_agree_on_linear_polynomial():
-    from sas_transim import ReducedNetwork, SwingRhsParams
+    from sas_transim import SwingRhsParams
     rhs = SwingRhsParams(
         h=np.array([4.0]), d=np.array([0.0]), pm=np.array([0.0]),
         e=np.array([1.0]),
-        network=ReducedNetwork(np.array([[0.0]]), np.array([[0.0]])),
+        y=np.zeros((1, 1)),
         omega0=377.0)
     w = derive_window(rhs, MachineState(np.array([0.1]), np.array([2.0])), 3,
                       window=0.4)

@@ -8,10 +8,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sas_transim import (CaseParseError, NumericalError, ReducedNetwork,
-                         SwingRhsParams, ValidationError, augment_and_reduce,
-                         augmented_ybus, build_ybus, builtin_case,
-                         equilibrium_state, init_from_powerflow,
+from sas_transim import (CaseParseError, NumericalError, SwingRhsParams,
+                         ValidationError, augmented_ybus, build_ybus,
+                         builtin_case, equilibrium_state, init_from_powerflow,
                          initialized_case, kron_reduce, parse_case,
                          set_inertia)
 from sas_transim.netmodel import FAULT_ADMITTANCE
@@ -45,10 +44,10 @@ def test_parse_smib_matches_published_parameters(smib_case):
     H = 3 s, D = 1 pu, coupling E E_inf Y = 1.7 pu, zero self-conductance."""
     gen = smib_case.generator_at(2)
     assert gen.H == 3.0 and gen.D == 1.0
-    red = augment_and_reduce(smib_case, "pre_fault")
-    coupling = gen.E * smib_case.generator_at(1).E * red.y_mag[0, 1]
+    y = smib_case.emf_admittance("pre_fault")
+    coupling = gen.E * smib_case.generator_at(1).E * abs(y[0, 1])
     assert abs(coupling - 1.7) < 1e-9
-    assert abs(red.conductance[0]) < 1e-9
+    assert abs(y[0, 0].real) < 1e-9
     assert abs(gen.delta0 - 1.0472) < 1e-12
 
 
@@ -297,10 +296,9 @@ def test_kron_reports_islanded_node():
 
 def test_reduced_network_symmetric(ieee39_case):
     for epoch in ("pre_fault", "fault_on", "post_fault"):
-        red = augment_and_reduce(ieee39_case, epoch)
-        yc = red.complex_matrix
+        yc = ieee39_case.emf_admittance(epoch)
         assert np.abs(yc - yc.T).max() < 1e-12
-        assert np.isfinite(red.y_mag).all()
+        assert np.isfinite(yc).all()
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +369,12 @@ def test_set_inertia_returns_new_case(ieee9_case):
         set_inertia(ieee9_case, 99, 1.0)
 
 
+@pytest.mark.parametrize("h", [math.inf, math.nan, 0.0, -1.0])
+def test_set_inertia_requires_finite_positive_h(ieee9_case, h):
+    with pytest.raises(ValidationError, match=rf"bus 2 .*{re.escape(repr(h))}"):
+        set_inertia(ieee9_case, 2, h)
+
+
 # ---------------------------------------------------------------------------
 # A case prepares its networks once
 
@@ -425,10 +429,9 @@ def test_initialized_inertia_variant_keeps_its_inertia():
 def test_remembered_network_equals_a_fresh_reduction(name):
     case = initialized_case(builtin_case(name))
     for epoch in ("pre_fault", "fault_on", "post_fault"):
-        got = SwingRhsParams.from_case(case, epoch).network
-        want = ReducedNetwork.from_complex(kron_reduce(*augmented_ybus(case, epoch)))
-        assert np.array_equal(got.y_mag, want.y_mag)
-        assert np.array_equal(got.y_ang, want.y_ang)
+        got = SwingRhsParams.from_case(case, epoch).y
+        fresh = kron_reduce(*augmented_ybus(case, epoch))
+        assert np.array_equal(got, 0.5 * (fresh + fresh.T))
         aug, keep = augmented_ybus(case, epoch)
         red = kron_reduce(aug, keep + [case.bus_index[5]])
         assert np.array_equal(case.emf_admittance(epoch, 5), 0.5 * (red + red.T))

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from sas_transim import (MachineState, NumericalError, RaInputs,
-                         ReducedNetwork, SwingRhsParams, ValidationError,
-                         equilibrium_state, estimate_hmin, estimate_ra,
-                         mode_periods, transfer_admittance)
+                         SwingRhsParams, ValidationError, equilibrium_state,
+                         estimate_hmin, estimate_ra, mode_periods,
+                         transfer_admittance)
 from sas_transim.ra import (_smallest_indicator_root, fleet_ra,
                             ra_inputs_for_machine, system_ra)
 from sas_transim.rk4 import IntegratorConfig, fault_on_bootstrap
@@ -173,6 +173,16 @@ def test_ra_closed_form_agreement_undamped():
     res_damped = estimate_ra(table1_inputs())
     assert res_damped.closed_form_discrepancy < 0.05
     assert res_damped.closed_form_discrepancy > 0.0
+
+
+def test_ra_negative_self_conductance():
+    """A negative self-conductance enters the pair as G_ii = g < 0, so the
+    recursion still agrees with the hand formula, which carries g with its
+    sign."""
+    neg = estimate_ra(table1_inputs(d=0.0, ddelta0_ref=-0.5, g=-0.3))
+    pos = estimate_ra(table1_inputs(d=0.0, ddelta0_ref=-0.5, g=0.3))
+    assert neg.closed_form_discrepancy <= 1e-12
+    assert neg.c1 != pytest.approx(pos.c1, rel=1e-3)
 
 
 def test_ra_initial_speed_dependence():
@@ -435,10 +445,10 @@ def test_modes_nine_bus_published_periods(ieee9_case):
 def test_modes_antisymmetric_pair():
     """Two identical machines over a symmetric lossless tie: the one
     oscillatory mode's eigenvector has equal and opposite angle components."""
-    net = ReducedNetwork(np.array([[0.0, 1.5], [1.5, 0.0]]),
-                         np.array([[0.0, math.pi / 2], [math.pi / 2, 0.0]]))
+    y = (np.array([[0.0, 1.5], [1.5, 0.0]])
+         * np.exp(1j * np.array([[0.0, math.pi / 2], [math.pi / 2, 0.0]])))
     rhs = SwingRhsParams(h=np.array([4.0, 4.0]), d=np.zeros(2),
-                         pm=np.zeros(2), e=np.ones(2), network=net,
+                         pm=np.zeros(2), e=np.ones(2), y=y,
                          omega0=OMEGA0)
     eq = MachineState(np.zeros(2), np.zeros(2))
     analysis = mode_periods(rhs, eq)

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from sas_transim import (DivergenceError, EventScript, MachineState,
-                         ReducedNetwork, SwingRhsParams, Trajectory,
-                         ValidationError, equilibrium_state)
+                         SwingRhsParams, Trajectory, ValidationError,
+                         equilibrium_state)
 from sas_transim.rk4 import (CompareReport, IntegratorConfig, compare,
                              fault_on_bootstrap, integrate, swing_rhs)
 
@@ -38,10 +38,10 @@ def test_rhs_value_at_table_state():
 def test_rhs_antisymmetric_pair():
     """Two identical machines displaced oppositely see opposite accelerations
     through a lossless symmetric coupling."""
-    net = ReducedNetwork(np.array([[0.0, 1.2], [1.2, 0.0]]),
-                         np.array([[0.0, math.pi / 2], [math.pi / 2, 0.0]]))
+    y = (np.array([[0.0, 1.2], [1.2, 0.0]])
+         * np.exp(1j * np.array([[0.0, math.pi / 2], [math.pi / 2, 0.0]])))
     rhs = SwingRhsParams(h=np.array([4.0, 4.0]), d=np.zeros(2),
-                         pm=np.zeros(2), e=np.ones(2), network=net,
+                         pm=np.zeros(2), e=np.ones(2), y=y,
                          omega0=OMEGA0)
     st = MachineState(np.array([0.3, -0.3]), np.zeros(2))
     _, domega = swing_rhs(st, rhs)
@@ -55,7 +55,7 @@ def test_integrate_free_motion_exact():
     rhs = SwingRhsParams(
         h=np.array([5.0]), d=np.array([0.0]), pm=np.array([0.0]),
         e=np.array([1.0]),
-        network=ReducedNetwork(np.array([[0.0]]), np.array([[0.0]])),
+        y=np.zeros((1, 1)),
         omega0=OMEGA0)
     st = MachineState(np.array([0.2]), np.array([1.5]))
     traj = integrate(rhs, st, 0.985, IntegratorConfig(dt=1e-3))
@@ -173,7 +173,7 @@ def test_bootstrap_fault_state_accelerates(ieee39_case):
     state, traj = fault_on_bootstrap(ieee39_case)
     pos = ieee39_case.generator_position(30)
     g = ieee39_case.generator_at(30)
-    approx = g.omega0 * g.Pm / (2 * g.H) * ieee39_case.events.t_clear
+    approx = ieee39_case.omega0 * g.Pm / (2 * g.H) * ieee39_case.events.t_clear
     assert state.omega_dev[pos] == pytest.approx(approx, rel=0.15)
     assert traj.times[0] == 0.0
 
