@@ -15,8 +15,8 @@ from .netmodel import (BranchSpec, BusSpec, EventScript, GeneratorParams,
                        initialized_case, kron_reduce, load_case, parse_case,
                        resolve_case, set_inertia)
 from .ra import (ModeAnalysis, RaInputs, RaResult, estimate_hmin, estimate_ra,
-                 mode_periods, ra_inputs_for_machine, transfer_admittance)
+                 mode_periods, ra_inputs_for_machine)
 from .rk4 import (CompareReport, IntegratorConfig, compare, fault_on_bootstrap,
-                  integrate, swing_rhs)
+                  integrate)
 
 __version__ = "0.1.0"

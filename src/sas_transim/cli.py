@@ -12,7 +12,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -42,16 +42,6 @@ class BenchReport:
     speed_ratio_vs_rk4: float
     windows: int
     t_over_tau: float
-
-    def as_dict(self):
-        return {
-            "offline_setup_s": self.offline_setup_s,
-            "online_eval_s": self.online_eval_s,
-            "rk4_s": self.rk4_s,
-            "speed_ratio_vs_rk4": self.speed_ratio_vs_rk4,
-            "windows": self.windows,
-            "t_over_tau": self.t_over_tau,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +107,8 @@ def _initial_state(case, dt):
 
 
 # The library's name for each option that must be positive and finite.
-_POSITIVE = {"iloa_max": "i_loa_max", "window": "t_init", "horizon": "horizon"}
+_POSITIVE = {"iloa_max": "i_loa_max", "window": "t_init", "horizon": "horizon",
+             "target_ra": "target_ra"}
 
 
 def _check_positive(args, *dests):
@@ -287,10 +278,8 @@ def cmd_ra(args) -> int:
 
 
 def cmd_hmin(args) -> int:
-    _check_positive(args, "iloa_max")
+    _check_positive(args, "iloa_max", "target_ra")
     case = _load_case(args)
-    if not (args.target_ra > 0):
-        raise ValidationError("--target-ra must be positive")
     states, _ = _study_state(case, args)
     chosen = None if args.fleet or args.machine is None else [args.machine]
     inputs = _study_inputs(case, args, states, chosen)
@@ -346,7 +335,7 @@ def cmd_bench(args) -> int:
                          rk4_s=rk4_s, speed_ratio_vs_rk4=rk4_s / sas_s,
                          windows=windows, t_over_tau=args.horizon / windows / online)
     if args.json:
-        print(json.dumps(report.as_dict(), indent=1))
+        print(json.dumps(asdict(report), indent=1))
     else:
         print(f"offline setup:        {report.offline_setup_s * 1e3:.2f} ms")
         print(f"windows simulated:    {report.windows} of {window:.4g} s "

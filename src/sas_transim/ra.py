@@ -209,10 +209,11 @@ def estimate_hmin(inp: RaInputs, target_ra: float) -> float:
     1e-2 s; an H_min above 1e4 s raises NumericalError. Where R_A grows
     with H this is simply the first H whose window reaches the target. The
     result is checked with :func:`estimate_ra` and nudged up by a relative
-    1e-12, at most 8 times, to absorb round-off of the fit.
+    1e-12, at most 8 times, to absorb round-off of the fit. ``target_ra``
+    must be positive and finite.
     """
-    if not (target_ra > 0):
-        raise ValidationError("target_ra must be positive")
+    if not (target_ra > 0 and math.isfinite(target_ra)):
+        raise ValidationError(f"target_ra must be positive and finite, got {target_ra!r}")
     i_max = inp.i_loa_max
     (c1_1, c1_2), (c2_1, c2_2) = (c.tolist() for c in _third_term(inp, [1.0, 2.0]))
     # c = alpha u + beta u^2, read off u = 1 and u = 1/2
@@ -257,17 +258,19 @@ def estimate_hmin(inp: RaInputs, target_ra: float) -> float:
 # Reducing a full case to machine-versus-reference inputs
 
 
-def _reduce_around(case: PowerSystemCase, reference, epoch: str):
-    """Resolve a reference designation and reduce the network around it.
+def _pair_inputs(case: PowerSystemCase, state: MachineState, i_loa_max: float,
+                 reference, epoch: str, machines=None):
+    """(bus, RaInputs) of each machine against one reference node at ``state``.
 
-    ``None`` picks the configured/largest-H generator's EMF node; an integer
-    names a network bus; ``("gen", bus)`` or ``("bus", bus)`` names either
-    explicitly. Every generator EMF node is kept, in generator order (an
-    eliminated source node would distort the couplings), and a reference bus
-    last; both kinds read the case's own reduction. Returns the initialized
-    case, the symmetrized reduced matrix, the reference's row in it, its
-    voltage magnitude in the case, and ``motion_at(state)``: its magnitude,
-    angle and angle rate at a state (see :func:`ra_inputs_for_machine`).
+    ``reference`` ``None`` picks the configured/largest-H generator's EMF
+    node; an integer names a network bus; ``("gen", bus)`` or
+    ``("bus", bus)`` names either explicitly. The case's memoized reduction
+    keeps every generator EMF node (an eliminated source node would distort
+    the couplings) and a reference bus last. A generator reference moves
+    with its own E, angle and angle rate; a bus reference with the voltage
+    V_b rebuilt from the machine EMFs at ``state``, at zero drift.
+    ``machines`` (generator buses) defaults to every machine but a generator
+    reference; naming the reference is refused.
     """
     case = initialized_case(case)
     if reference is None:
@@ -277,60 +280,33 @@ def _reduce_around(case: PowerSystemCase, reference, epoch: str):
         raise ValidationError(f"unknown reference kind {kind!r}")
     bus = int(bus)
     if kind == "gen":
-        ref = case.generator_position(bus)
-        y, e_ref = case.emf_admittance(epoch), case.generators[ref].E
-
-        def motion_at(state):
-            return e_ref, float(state.delta[ref]), float(state.omega_dev[ref])
+        ref, y = case.generator_position(bus), case.emf_admittance(epoch)
+        e_inf = case.generators[ref].E
+        d_ref, dd_ref = float(state.delta[ref]), float(state.omega_dev[ref])
     else:
         ref, y = case.k, case.emf_admittance(epoch, bus)   # refuses an unknown bus
-        e_ref = case.buses[case.bus_index[bus]].voltage_mag
-
-        def motion_at(state):
-            # No injection at the bus: Y[b, :K] E + Y[b, b] V_b = 0.
-            emf = np.array([g.E * cmath.exp(1j * d)
-                            for g, d in zip(case.generators, state.delta)])
-            v_ref = -(y[ref, :ref] @ emf) / y[ref, ref]
-            return float(abs(v_ref)), float(cmath.phase(v_ref)), 0.0
-    return case, y, ref, float(e_ref), motion_at
-
-
-def _machine_position(case: PowerSystemCase, machine: int, ref: int) -> int:
-    pos = case.generator_position(machine)
-    if pos == ref:
-        raise ValidationError("reference node coincides with the machine node")
-    return pos
-
-
-def _machine_inputs(case, y, ref, pos, state, motion, i_loa_max) -> RaInputs:
-    """Inputs of the machine at ``pos``, given the reference's ``motion``
-    (magnitude, angle, angle rate) at ``state``."""
-    gen = case.generators[pos]
-    e_inf, d_ref, dd_ref = motion
-    return RaInputs(
-        h=gen.H, d=gen.D, omega0=case.omega0, pm=gen.Pm, e=gen.E,
-        g=float(y[pos, pos].real), e_inf=e_inf, y=float(abs(y[pos, ref])),
-        theta=float(cmath.phase(y[pos, ref])),
-        delta0_machine=float(state.delta[pos]),
-        ddelta0_machine=float(state.omega_dev[pos]),
-        delta0_ref=d_ref, ddelta0_ref=dd_ref, i_loa_max=i_loa_max,
-    )
-
-
-def transfer_admittance(case: PowerSystemCase, machine: int, reference_node=None,
-                        epoch: str = "post_fault"):
-    """Transfer admittance from one machine's EMF node to a reference node.
-
-    The augmented admittance matrix is Kron-reduced keeping the machine EMF
-    nodes (and the reference bus, when the reference is a network bus);
-    returns (Y, theta, E_inf) where Y∠theta is the off-diagonal entry
-    between the machine's EMF node and the reference node, and E_inf is the
-    reference node's voltage magnitude (internal EMF for a generator
-    reference, case power-flow value for a bus).
-    """
-    case, y, ref, e_ref, _ = _reduce_around(case, reference_node, epoch)
-    y12 = y[_machine_position(case, machine, ref), ref]
-    return float(abs(y12)), float(cmath.phase(y12)), e_ref
+        # No injection at the bus: Y[b, :K] E + Y[b, b] V_b = 0.
+        emf = np.array([g.E * cmath.exp(1j * d)
+                        for g, d in zip(case.generators, state.delta)])
+        v_ref = -(y[ref, :ref] @ emf) / y[ref, ref]
+        e_inf, d_ref, dd_ref = float(abs(v_ref)), float(cmath.phase(v_ref)), 0.0
+    if machines is None:
+        positions = [pos for pos in range(case.k) if pos != ref]
+    else:
+        positions = [case.generator_position(m) for m in machines]
+        if ref in positions:
+            raise ValidationError("reference node coincides with the machine node")
+    pairs = []
+    for pos in positions:
+        gen = case.generators[pos]
+        pairs.append((gen.bus, RaInputs(
+            h=gen.H, d=gen.D, omega0=case.omega0, pm=gen.Pm, e=gen.E,
+            g=float(y[pos, pos].real), e_inf=e_inf, y=float(abs(y[pos, ref])),
+            theta=float(cmath.phase(y[pos, ref])),
+            delta0_machine=float(state.delta[pos]),
+            ddelta0_machine=float(state.omega_dev[pos]),
+            delta0_ref=d_ref, ddelta0_ref=dd_ref, i_loa_max=i_loa_max)))
+    return pairs
 
 
 def ra_inputs_for_machine(case: PowerSystemCase, machine: int,
@@ -341,11 +317,10 @@ def ra_inputs_for_machine(case: PowerSystemCase, machine: int,
     The machine and reference angles/rates are read from ``state`` (full
     machine state in generator order). A generator reference contributes its
     own dynamic state; a bus reference contributes the bus voltage phasor
-    reconstructed from the machine EMFs at ``state``, with zero drift.
+    rebuilt from the machine EMFs at ``state``, with zero drift, and E_inf
+    is its magnitude. A machine that is the reference is refused.
     """
-    case, y, ref, _, motion_at = _reduce_around(case, reference, epoch)
-    return _machine_inputs(case, y, ref, _machine_position(case, machine, ref),
-                           state, motion_at(state), i_loa_max)
+    return _pair_inputs(case, state, i_loa_max, reference, epoch, [machine])[0][1]
 
 
 def fleet_ra(case: PowerSystemCase, state: MachineState, i_loa_max: float,
@@ -353,22 +328,19 @@ def fleet_ra(case: PowerSystemCase, state: MachineState, i_loa_max: float,
     """Per-machine accuracy windows; the system window is their minimum.
 
     Returns a list of (bus, RaInputs, RaResult), skipping the reference
-    machine when the reference is a generator EMF node. The network is
-    reduced, and the reference's motion found, once per call.
+    machine when the reference is a generator EMF node. The inputs are
+    built once per call by :func:`_pair_inputs`.
     """
-    case, y, ref, _, motion_at = _reduce_around(case, reference, epoch)
-    motion = motion_at(state)
+    def one(pair):
+        bus, inp = pair
+        return bus, inp, estimate_ra(inp)
 
-    def one(pos):
-        inp = _machine_inputs(case, y, ref, pos, state, motion, i_loa_max)
-        return case.generators[pos].bus, inp, estimate_ra(inp)
-
-    positions = [pos for pos in range(case.k) if pos != ref]
+    pairs = _pair_inputs(case, state, i_loa_max, reference, epoch)
     if jobs > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(one, positions))
-    return [one(pos) for pos in positions]
+            return list(pool.map(one, pairs))
+    return [one(pair) for pair in pairs]
 
 
 def system_ra(results) -> float:

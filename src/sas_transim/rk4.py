@@ -35,11 +35,6 @@ class IntegratorConfig:
             raise ValidationError("record_every must be >= 1")
 
 
-def swing_rhs(state: MachineState, rhs: SwingRhsParams):
-    """Right-hand side (d delta/dt, d omega_dev/dt) at a state."""
-    return state.omega_dev.copy(), rhs.acceleration(state.delta, state.omega_dev)
-
-
 def _step(rhs: SwingRhsParams, delta, omega, dt):
     k1d = omega
     k1w = rhs.acceleration(delta, omega)

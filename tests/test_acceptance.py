@@ -278,11 +278,11 @@ def test_criterion_5_transfer_admittance(ieee9_case):
     """Machine-to-reference transfer admittance on the post-switching 9-bus
     network reproduces the published 1.0792 pu at 80.27 degrees with
     reference voltage 1.0170 pu, all within 1%."""
-    from sas_transim import transfer_admittance
     # the published pair couples the machine at bus 1 with the EMF node of
-    # generator 3 (the study's swept machine)
-    y, theta, e_inf = transfer_admittance(ieee9_case, 1, ("gen", 3),
-                                          epoch="post_fault")
+    # generator 3 (the study's swept machine); E_inf is that generator's EMF
+    inp = ra_inputs_for_machine(ieee9_case, 1, equilibrium_state(ieee9_case.generators),
+                                5.0, reference=("gen", 3), epoch="post_fault")
+    y, theta, e_inf = inp.y, inp.theta, inp.e_inf
     y_err = abs(y / 1.0792 - 1)
     th_err = abs(theta / math.radians(80.27) - 1)
     v_err = abs(e_inf / 1.0170 - 1)

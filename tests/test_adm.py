@@ -78,24 +78,17 @@ def test_sin_cos_rejects_non_1d_input():
 def test_sin_cos_maclaurin():
     """u = t reproduces the Maclaurin series of sin and cos."""
     s, c = sin_cos_of_series([0.0, 1.0, 0.0, 0.0, 0.0])
-    assert np.allclose(s, [0, 1, 0, -1 / 6, 0], atol=1e-15)
-    assert np.allclose(c, [1, 0, -0.5, 0, 1 / 24], atol=1e-15)
+    assert np.allclose(s, [0, 1, 0, -1 / 6, 0], rtol=0.0, atol=1e-15)
+    assert np.allclose(c, [1, 0, -0.5, 0, 1 / 24], rtol=0.0, atol=1e-15)
 
 
-def test_sin_cos_against_finite_differences():
-    """Coefficients of sin(0.3 + 0.1 t) match numerical differentiation."""
+def test_sin_cos_against_exact_taylor_coefficients():
+    """Coefficients of sin(0.3 + 0.1 t) are the exact Taylor coefficients
+    0.1^n sin(0.3 + n pi/2) / n!."""
     s, _ = sin_cos_of_series([0.3, 0.1, 0.0, 0.0])
-
-    def f(t):
-        return math.sin(0.3 + 0.1 * t)
-
-    h = 1e-2
-    d0 = f(0.0)
-    d1 = (f(h) - f(-h)) / (2 * h)
-    d2 = (f(h) - 2 * f(0) + f(-h)) / h ** 2
-    d3 = (f(2 * h) - 2 * f(h) + 2 * f(-h) - f(-2 * h)) / (2 * h ** 3)
-    expected = [d0, d1, d2 / 2.0, d3 / 6.0]
-    assert np.allclose(s, expected, atol=1e-9)
+    expected = [math.sin(0.3), 0.1 * math.cos(0.3), -0.01 * math.sin(0.3) / 2.0,
+                -0.001 * math.cos(0.3) / 6.0]
+    assert np.allclose(s, expected, rtol=0.0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

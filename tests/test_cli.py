@@ -325,9 +325,11 @@ def test_hmin_fleet_without_an_estimable_machine(tmp_path, capsys, command):
 
 
 def test_hmin_rejects_nan_target(capsys):
-    rc, _, err = run(capsys, "hmin", "ieee9", "--target-ra", "nan")
-    assert rc == 1
-    assert "--target-ra" in err
+    for target in ("nan", "inf", "0"):
+        rc, text, err = run(capsys, "hmin", "ieee9", "--target-ra", target, "--fleet")
+        assert rc == 1
+        assert "--target-ra" in err
+        assert text == ""
 
 
 def test_modes_published_periods(capsys):

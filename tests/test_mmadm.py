@@ -89,8 +89,8 @@ def test_handoff_modes_agree_on_linear_polynomial():
                       window=0.4)
     a = handoff_state(w, 0.3, "analytic_derivative")
     b = handoff_state(w, 0.3, "two_point")
-    assert np.allclose(a.delta, b.delta, atol=1e-15)
-    assert np.allclose(a.omega_dev, b.omega_dev, atol=1e-12)
+    assert np.allclose(a.delta, b.delta, rtol=0.0, atol=1e-15)
+    assert np.allclose(a.omega_dev, b.omega_dev, rtol=0.0, atol=1e-12)
 
 
 def test_handoff_two_point_backward_difference():
@@ -129,7 +129,7 @@ def test_single_window_horizon():
     w = derive_window(rhs, st, 3, window=0.17)
     from sas_transim import eval_window
     end = eval_window(w, 0.17)
-    assert np.allclose(traj.delta[-1], end.delta, atol=1e-15)
+    assert np.allclose(traj.delta[-1], end.delta, rtol=0.0, atol=1e-15)
     assert traj.times[-1] == pytest.approx(0.17, abs=1e-12)
 
 
@@ -161,13 +161,13 @@ def test_sample_placement_two_point():
     """Default three samples in two-point mode sit at {T/2, T - T/100, T}."""
     traj = simulate_sas(table1_rhs(), table1_state(), 0.2,
                         WindowConfig(t_init=0.2, handoff_mode="two_point"))
-    assert np.allclose(traj.times, [0.0, 0.1, 0.2 * 0.99, 0.2], atol=1e-12)
+    assert np.allclose(traj.times, [0.0, 0.1, 0.2 * 0.99, 0.2], rtol=0.0, atol=1e-12)
 
 
 def test_sample_placement_analytic():
     traj = simulate_sas(table1_rhs(), table1_state(), 0.2,
                         WindowConfig(t_init=0.2))
-    assert np.allclose(traj.times, [0.0, 0.1, 0.2], atol=1e-12)
+    assert np.allclose(traj.times, [0.0, 0.1, 0.2], rtol=0.0, atol=1e-12)
 
 
 def test_last_window_clipped_to_horizon():
@@ -306,7 +306,7 @@ def test_csv_round_trip():
     text = traj.to_csv_text()
     assert text.splitlines()[0] == "t,delta_1,delta_2,omega_1,omega_2"
     back = read_csv(io.StringIO(text))
-    assert np.allclose(back.times, traj.times, atol=1e-9)
+    assert np.allclose(back.times, traj.times, rtol=0.0, atol=1e-9)
     # 9 significant digits survive the round trip at these magnitudes
     assert np.abs(back.delta - traj.delta).max() < 1e-7
 

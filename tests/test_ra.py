@@ -1,5 +1,6 @@
 """Accuracy-window estimation, minimum inertia and mode analysis."""
 
+import cmath
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -9,8 +10,7 @@ import pytest
 
 from sas_transim import (MachineState, NumericalError, RaInputs,
                          SwingRhsParams, ValidationError, equilibrium_state,
-                         estimate_hmin, estimate_ra, mode_periods,
-                         transfer_admittance)
+                         estimate_hmin, estimate_ra, mode_periods)
 from sas_transim.ra import (_smallest_indicator_root, fleet_ra,
                             ra_inputs_for_machine, system_ra)
 from sas_transim.rk4 import IntegratorConfig, fault_on_bootstrap
@@ -238,6 +238,12 @@ def test_hmin_published_39bus_parameters():
     assert res.r_a >= 0.2
 
 
+@pytest.mark.parametrize("target", [0.0, math.nan, math.inf])
+def test_hmin_refuses_a_non_positive_or_non_finite_target(target):
+    with pytest.raises(ValidationError, match="target_ra"):
+        estimate_hmin(TABLE4_INPUTS, target_ra=target)
+
+
 def test_hmin_unreachable_target_raises():
     """A violent enough state keeps the window finite even at the inertia
     cap, so an absurd target is reported as unreachable."""
@@ -339,7 +345,7 @@ def test_hmin_agrees_with_bisection_where_monotone(inp, target):
 def test_transfer_two_node_network():
     """A single branch between a machine and its reference bus returns the
     branch-plus-xdp admittance itself."""
-    from sas_transim import parse_case
+    from sas_transim import initialized_case, parse_case
     doc = {
         "base_mva": 100.0, "frequency_hz": 60.0,
         "buses": [
@@ -349,27 +355,57 @@ def test_transfer_two_node_network():
         "branches": [{"from_bus": 1, "to_bus": 2, "r": 0.0, "x": 0.4}],
         "generators": [{"bus": 2, "H": 3.0, "xdp": 0.2}],
     }
-    case = parse_case(doc)
-    y, theta, e_inf = transfer_admittance(case, 2, 1)
+    case = initialized_case(parse_case(doc))
+    gen = case.generators[0]
+    inp = ra_inputs_for_machine(case, 2, equilibrium_state(case.generators), 5.0,
+                                reference=1)
     # matrix-entry convention: the off-diagonal of [[y, -y], [-y, y]] for a
     # purely reactive series path is +j|y|
-    assert y == pytest.approx(1.0 / 0.6, rel=1e-12)
-    assert theta == pytest.approx(math.pi / 2, abs=1e-12)
-    assert e_inf == pytest.approx(1.0)
+    assert inp.y == pytest.approx(1.0 / 0.6, rel=1e-12)
+    assert inp.theta == pytest.approx(math.pi / 2, abs=1e-12)
+    # bus 1 has no load and no generator: its voltage is the open-circuit EMF
+    assert inp.e_inf == pytest.approx(gen.E, abs=1e-12)
+    assert inp.delta0_ref == pytest.approx(gen.delta0, abs=1e-12)
 
 
 def test_transfer_pair_symmetry(ieee9_case):
     """Reciprocity: swapping machine and generator reference returns the
-    same coupling magnitude and angle."""
-    a = transfer_admittance(ieee9_case, 3, ("gen", 1))
-    b = transfer_admittance(ieee9_case, 1, ("gen", 3))
-    assert a[0] == pytest.approx(b[0], rel=1e-12)
-    assert a[1] == pytest.approx(b[1], rel=1e-12)
+    same coupling magnitude and angle; E_inf is the reference's EMF."""
+    eq = equilibrium_state(ieee9_case.generators)
+    a = ra_inputs_for_machine(ieee9_case, 3, eq, 5.0, reference=("gen", 1))
+    b = ra_inputs_for_machine(ieee9_case, 1, eq, 5.0, reference=("gen", 3))
+    assert a.y == pytest.approx(b.y, rel=1e-12)
+    assert a.theta == pytest.approx(b.theta, rel=1e-12)
+    assert (a.e_inf, b.e_inf) == (ieee9_case.generator_at(1).E,
+                                  ieee9_case.generator_at(3).E)
 
 
 def test_transfer_rejects_self_reference(ieee9_case):
-    with pytest.raises(ValidationError):
-        transfer_admittance(ieee9_case, 3, ("gen", 3))
+    eq = equilibrium_state(ieee9_case.generators)
+    with pytest.raises(ValidationError, match="coincides"):
+        ra_inputs_for_machine(ieee9_case, 3, eq, 5.0, reference=("gen", 3))
+
+
+def test_unknown_reference_kind_is_refused(ieee9_case):
+    eq = equilibrium_state(ieee9_case.generators)
+    with pytest.raises(ValidationError, match="unknown reference kind"):
+        ra_inputs_for_machine(ieee9_case, 3, eq, 5.0, reference=("node", 5))
+    with pytest.raises(ValidationError, match="unknown reference kind"):
+        fleet_ra(ieee9_case, eq, 5.0, reference=("node", 5))
+
+
+def test_bus_reference_e_inf_is_rebuilt_voltage(ieee9_case):
+    """A bus reference's E_inf is |V_5| rebuilt from the machine EMFs at the
+    clearing state: V_5 = -(Y[5, :K] E e^{j delta}) / Y[5, 5]."""
+    state, _ = fault_on_bootstrap(ieee9_case, IntegratorConfig(dt=1e-3))
+    y = ieee9_case.emf_admittance("post_fault", 5)
+    k = ieee9_case.k
+    emf = np.array([g.E * cmath.exp(1j * d)
+                    for g, d in zip(ieee9_case.generators, state.delta)])
+    v5 = -(y[k, :k] @ emf) / y[k, k]
+    inp = ra_inputs_for_machine(ieee9_case, 2, state, 5.0, reference=("bus", 5))
+    assert inp.e_inf == abs(v5)
+    assert inp.ddelta0_ref == 0.0
 
 
 def test_fleet_ra_skips_reference_and_takes_min(ieee9_case):
@@ -409,8 +445,6 @@ def test_bus_reference_reconstructs_power_flow_voltage(ieee39_case):
         assert inp.e_inf == pytest.approx(bus.voltage_mag, abs=1e-12)
         assert inp.delta0_ref == pytest.approx(bus.voltage_ang, abs=1e-12)
         assert inp.ddelta0_ref == 0.0
-    y, theta, e_inf = transfer_admittance(ieee39_case, 30, ("bus", 29), "pre_fault")
-    assert (y, theta, e_inf) == (inp.y, inp.theta, bus.voltage_mag)
 
 
 # ---------------------------------------------------------------------------

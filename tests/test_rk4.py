@@ -10,7 +10,7 @@ from sas_transim import (DivergenceError, EventScript, MachineState,
                          SwingRhsParams, Trajectory, ValidationError,
                          equilibrium_state)
 from sas_transim.rk4 import (CompareReport, IntegratorConfig, compare,
-                             fault_on_bootstrap, integrate, swing_rhs)
+                             fault_on_bootstrap, integrate)
 
 from test_adm import OMEGA0, table1_rhs, table1_state
 
@@ -18,8 +18,7 @@ from test_adm import OMEGA0, table1_rhs, table1_state
 def test_rhs_zero_at_equilibrium(ieee9_case):
     rhs = SwingRhsParams.from_case(ieee9_case, "pre_fault")
     eq = equilibrium_state(ieee9_case.generators)
-    ddelta, domega = swing_rhs(eq, rhs)
-    assert np.array_equal(ddelta, eq.omega_dev)
+    domega = rhs.acceleration(eq.delta, eq.omega_dev)
     assert np.abs(domega).max() < 1e-6
 
 
@@ -28,7 +27,7 @@ def test_rhs_value_at_table_state():
     value minus the damping term, computed directly from the formula."""
     rhs = table1_rhs()
     st = table1_state()
-    _, domega = swing_rhs(st, rhs)
+    domega = rhs.acceleration(st.delta, st.omega_dev)
     a0 = (OMEGA0 / 6.0) * (rhs.pm[0] - 1.7 * math.sin(1.0472 + 0.0957))
     expected = a0 - (1.0 / 6.0) * 3.7639
     assert domega[0] == pytest.approx(expected, rel=1e-12)
@@ -44,7 +43,7 @@ def test_rhs_antisymmetric_pair():
                          pm=np.zeros(2), e=np.ones(2), y=y,
                          omega0=OMEGA0)
     st = MachineState(np.array([0.3, -0.3]), np.zeros(2))
-    _, domega = swing_rhs(st, rhs)
+    domega = rhs.acceleration(st.delta, st.omega_dev)
     assert domega[0] == pytest.approx(-domega[1], rel=1e-12)
     assert abs(domega[0]) > 1.0
 
