@@ -30,10 +30,10 @@ from .rk4 import IntegratorConfig, compare, fault_on_bootstrap, integrate
 class BenchReport:
     """Timing summary of one benchmark run.
 
-    ``online_eval_s`` is the wall time per simulated window (3 evaluations,
-    handoff and the next window's coefficient recursion); ``t_over_tau``
-    is the faster-than-real-time ratio of the mean simulated window,
-    horizon / windows, to that time.
+    ``online_eval_s`` is the wall time per simulated window (2 evaluations,
+    the last of which is the handoff, and the next window's coefficient
+    recursion); ``t_over_tau`` is the faster-than-real-time ratio of the
+    mean simulated window, horizon / windows, to that time.
     """
 
     offline_setup_s: float
@@ -108,7 +108,7 @@ def _initial_state(case, dt):
 
 # The library's name for each option that must be positive and finite.
 _POSITIVE = {"iloa_max": "i_loa_max", "window": "t_init", "horizon": "horizon",
-             "target_ra": "target_ra"}
+             "target_ra": "target_ra", "dt": "dt", "search_window": "search horizon"}
 
 
 def _check_positive(args, *dests):
@@ -146,7 +146,7 @@ def _print_table(header, rows, as_csv, out=None):
 
 
 def cmd_simulate(args) -> int:
-    _check_positive(args, "iloa_max", "window", "horizon")
+    _check_positive(args, "iloa_max", "window", "horizon", "dt")
     case = _load_case(args)
     kind, ref_bus = _reference_arg(case, args.reference)
     if kind == "bus" and args.relative:
@@ -165,9 +165,7 @@ def cmd_simulate(args) -> int:
             window = _default_window(case, state, args, reference=(kind, ref_bus))
         cfg = WindowConfig(t_init=window, n_terms=args.n_terms,
                            i_loa_max=args.iloa_max, adaptive=args.adaptive,
-                           samples_per_window=args.samples,
-                           handoff_mode=("two_point" if args.handoff == "two-point"
-                                         else "analytic_derivative"))
+                           samples_per_window=args.samples)
         traj = simulate_sas(rhs, state, args.horizon, cfg, t0=t0)
 
     out = args.out or f"{case.name or 'case'}_{args.engine}.csv"
@@ -260,7 +258,7 @@ def _study_inputs(case, args, states, buses=None):
 
 
 def cmd_ra(args) -> int:
-    _check_positive(args, "iloa_max")
+    _check_positive(args, "iloa_max", "dt", "search_window")
     case = _load_case(args)
     states, _ = _study_state(case, args)
     results = [(bus, inp, estimate_ra(inp))
@@ -278,7 +276,7 @@ def cmd_ra(args) -> int:
 
 
 def cmd_hmin(args) -> int:
-    _check_positive(args, "iloa_max", "target_ra")
+    _check_positive(args, "iloa_max", "target_ra", "dt", "search_window")
     case = _load_case(args)
     states, _ = _study_state(case, args)
     chosen = None if args.fleet or args.machine is None else [args.machine]
@@ -306,7 +304,7 @@ def cmd_modes(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    _check_positive(args, "iloa_max", "window", "horizon")
+    _check_positive(args, "iloa_max", "window", "horizon", "dt")
     t0 = time.perf_counter()
     case = _load_case(args)
     rhs = SwingRhsParams.from_case(case, "post_fault")
@@ -316,9 +314,7 @@ def cmd_bench(args) -> int:
     window = args.window
     if window is None:
         window = _default_window(case, state, args)
-    cfg = WindowConfig(t_init=window, n_terms=args.n_terms,
-                       i_loa_max=args.iloa_max, samples_per_window=3,
-                       handoff_mode="two_point")
+    cfg = WindowConfig(t_init=window, n_terms=args.n_terms, i_loa_max=args.iloa_max)
     simulate_sas(rhs, state, args.horizon, cfg, t0=t_start)   # warm-up
     t0 = time.perf_counter()
     traj = simulate_sas(rhs, state, args.horizon, cfg, t0=t_start)
@@ -350,8 +346,17 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Exits 1, the input-problem code, on a usage error instead of
+    argparse's 2, which here means a numerical failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="sas-transim",
         description="Transient-stability simulation with multistage "
                     "semi-analytic series windows")
@@ -368,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iloa-max", type=float, default=5.0)
     p.add_argument("--adaptive", action="store_true")
     p.add_argument("--samples", type=int, default=3)
-    p.add_argument("--handoff", choices=("analytic", "two-point"), default="analytic")
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--record-every", type=int, default=1)
     p.add_argument("--out", default=None)

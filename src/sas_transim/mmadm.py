@@ -1,10 +1,10 @@
 """Multistage window driver: chain series windows over a simulation horizon.
 
 Each window is derived from the previous window's end state, evaluated at a
-handful of sample points, and optionally truncated early when the
-loss-of-accuracy indicator (the derivative of the highest-order term)
-crosses a threshold. Handoff between windows uses either the exact
-polynomial derivative or the two-point backward difference.
+handful of evenly spaced sample points, and optionally truncated early when
+the loss-of-accuracy indicator (the derivative of the highest-order term)
+crosses a threshold. The state handed to the next window is the window
+polynomial and its exact derivative at the cut.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from . import adm
 from .adm import MachineState, SasWindow, SwingRhsParams, derive_window
 from .adm import eval_window  # noqa: F401  (re-exported with the other window evaluators)
 from .errors import DivergenceError, ValidationError
-
-HANDOFF_MODES = ("analytic_derivative", "two_point")
 
 # Windows one simulation may derive; a horizon that could need more (at the
 # shortest window an adaptive cut leaves, t_init/100) is refused up front.
@@ -37,10 +35,9 @@ MAX_N_TERMS = 40
 class WindowConfig:
     """Knobs of the multistage driver.
 
-    ``samples_per_window`` counts evaluations per window including the window
-    end; with the default 3 and two-point handoff the points sit at
-    {T/2, T - T/100, T}, with analytic handoff at evenly spaced points ending
-    at T (midpoint + end for the default).
+    ``samples_per_window`` counts evenly spaced points per window, the window
+    start included; the start is the previous window's end and is not
+    evaluated again, so the default 3 evaluates at T/2 and T.
     """
 
     t_init: float
@@ -48,7 +45,6 @@ class WindowConfig:
     i_loa_max: float = 5.0
     adaptive: bool = False
     samples_per_window: int = 3
-    handoff_mode: str = "analytic_derivative"
 
     def __post_init__(self):
         if not (self.t_init > 0 and math.isfinite(self.t_init)):
@@ -66,8 +62,6 @@ class WindowConfig:
                 f"n_terms {self.n_terms} is more than MAX_N_TERMS = {MAX_N_TERMS}")
         if self.samples_per_window < 3:
             raise ValidationError("need at least 3 samples per window")
-        if self.handoff_mode not in HANDOFF_MODES:
-            raise ValidationError(f"handoff_mode must be one of {HANDOFF_MODES}")
 
 
 @dataclass(frozen=True)
@@ -189,48 +183,13 @@ def i_loa(w: SasWindow, t_local: float) -> float:
     return float(np.abs(adm._polyval(w.last_term_deriv, t_local)).max())
 
 
-def _two_point_speed(w: SasWindow, t_cut: float, delta: np.ndarray) -> np.ndarray:
-    """Backward-difference speed over h = T/100 ending at ``t_cut``."""
-    h = w.T / 100.0
-    if not math.isfinite(h) or h <= 0:
-        raise ValidationError("two_point handoff needs a finite window length")
-    return (delta - adm._polyval(w.sum_coeffs, t_cut - h)) / h
-
-
-def handoff_state(w: SasWindow, t_cut: float, mode: str = "analytic_derivative") -> MachineState:
-    """State handed to the next window at the cut point.
-
-    ``analytic_derivative`` evaluates the polynomial derivative exactly;
-    ``two_point`` estimates the speed from a backward difference over
-    h = T/100, mirroring evaluation schemes that only sample the angle series.
-    """
+def handoff_state(w: SasWindow, t_cut: float) -> MachineState:
+    """State handed to the next window at the cut point: the window
+    polynomial and its exact derivative there."""
     if not (0 < t_cut <= w.T + 1e-12):
         raise ValidationError(f"t_cut={t_cut} outside (0, {w.T}]")
-    if mode not in HANDOFF_MODES:
-        raise ValidationError(f"unknown handoff mode {mode!r}")
-    delta = adm._polyval(w.sum_coeffs, t_cut)
-    if mode == "analytic_derivative":
-        omega = adm._polyval(w.sum_deriv, t_cut)
-    else:
-        omega = _two_point_speed(w, t_cut, delta)
-    return MachineState(delta, omega)
-
-
-def _sample_times(t_window: float, cfg: WindowConfig) -> np.ndarray:
-    """Evaluation times inside one window, ending exactly on the window.
-
-    Two-point mode adds T - T/100 before the end for the backward-difference
-    handoff, matching the minimal three-point scheme {T/2, T - h, T}, unless
-    an evenly spaced point already holds it up to round-off (with 101
-    samples, for one); in analytic mode the inherited window-start sample
-    plays the role of the extra point, so the default is {start, T/2, T}.
-    """
-    base = np.linspace(0.0, t_window, cfg.samples_per_window)[1:]
-    extra = t_window * 0.99
-    if cfg.handoff_mode == "two_point" and not np.isclose(base, extra, rtol=1e-12,
-                                                          atol=0.0).any():
-        base = np.sort(np.append(base, extra))
-    return base
+    return MachineState(adm._polyval(w.sum_coeffs, t_cut),
+                        adm._polyval(w.sum_deriv, t_cut))
 
 
 def _stacked_rows(w: SasWindow, with_loa: bool) -> np.ndarray:
@@ -278,11 +237,12 @@ def simulate_sas(rhs: SwingRhsParams, state0: MachineState, horizon: float,
     elapsed = 0.0
     state = state0
     eps = 1e-12 * max(1.0, horizon)
-    grid = _sample_times(cfg.t_init, cfg)
+    grid = np.linspace(0.0, cfg.t_init, cfg.samples_per_window)[1:]
     while elapsed < t_end - eps:
         t_w = min(cfg.t_init, t_end - elapsed)
         w = derive_window(rhs, state, cfg.n_terms, t_start=t0 + elapsed, window=t_w)
-        samples = grid if t_w == cfg.t_init else _sample_times(t_w, cfg)
+        samples = (grid if t_w == cfg.t_init
+                   else np.linspace(0.0, t_w, cfg.samples_per_window)[1:])
         # vals[i] holds angles, speeds and, when adaptive, indicator values
         # at samples[i]
         vals = adm._polyval(_stacked_rows(w, cfg.adaptive), samples[:, None, None])
@@ -303,11 +263,9 @@ def simulate_sas(rhs: SwingRhsParams, state0: MachineState, horizon: float,
                 vals = vals[:first]
                 n_cuts += 1
         # The last sample kept is the cut; its state is handed to the next
-        # window, with the speed re-estimated in two_point mode.
+        # window.
         cut = samples[-1]
         delta, omega = vals[:, 0], vals[:, 1]
-        if cfg.handoff_mode == "two_point":
-            omega[-1] = _two_point_speed(w, cut, delta[-1])
         state = MachineState(delta[-1], omega[-1])
         times.append(t0 + elapsed + samples)
         deltas.append(delta)

@@ -2,16 +2,18 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sas_transim
 
-from sas_transim.cli import main
+from sas_transim.cli import build_parser, main
 from sas_transim.mmadm import MAX_N_TERMS, read_csv
 from sas_transim.netmodel import CASE_DIR_ENV
 
@@ -20,6 +22,14 @@ def run(capsys, *argv):
     rc = main(list(argv))
     out = capsys.readouterr()
     return rc, out.out, out.err
+
+
+def run_exit(capsys, *argv):
+    """Like ``run`` for an argv that argparse ends with SystemExit."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
 
 
 def test_simulate_smib_initial_row(tmp_path, capsys):
@@ -89,21 +99,42 @@ def test_unbounded_work_is_refused_up_front(tmp_path, argv, named):
     assert named in proc.stderr and "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("window, samples", [
-    ("0.1", "101"), ("0.1", "201"), ("0.07", "101"), ("0.07", "201"),
-])
-def test_two_point_samples_that_hold_the_backward_point(tmp_path, capsys, window, samples):
-    """With 101 or 201 evenly spaced samples T - T/100, the two-point
-    handoff's extra point, is already a sample: exactly at T = 0.1 s, one
-    ulp away at 0.07 s. It is not added again, so the CSV times, at 9
-    significant digits, still increase strictly."""
-    out = tmp_path / "t.csv"
-    rc, _, err = run(capsys, "simulate", "smib", "--horizon", "1", "--window", window,
-                     "--handoff", "two-point", "--samples", samples, "--out", str(out))
-    assert rc == 0, err
-    times = read_csv(str(out)).times
-    assert (np.diff(times) > 0).all()
-    assert times[-1] == pytest.approx(1.0, abs=1e-9)
+@pytest.mark.parametrize("argv, named", [
+    (("simulate", "ieee9", "--horizon", "abc"), "--horizon"),
+    (("simulate", "ieee9"), "--horizon"),
+    (("simulate", "smib", "--horizon", "1", "--handoff", "two-point"), "--handoff"),
+], ids=["bad-float", "missing-horizon", "handoff"])
+def test_usage_error_exits_1(tmp_path, monkeypatch, capsys, argv, named):
+    """A usage error is an input problem (exit 1), not a numerical failure
+    (exit 2). The analytic derivative is the only handoff, so --handoff is
+    an unknown option."""
+    monkeypatch.chdir(tmp_path)   # where a wrongly accepted run writes its CSV
+    code, text, err = run_exit(capsys, *argv)
+    assert code == 1
+    assert "usage:" in err and named in err and "Traceback" not in err
+    assert text == "" and os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("--version",), ("simulate", "--help")])
+def test_help_and_version_exit_0(capsys, argv):
+    code, text, _ = run_exit(capsys, *argv)
+    assert code == 0 and text
+
+
+def test_readme_examples_parse():
+    """Every ``sas-transim`` line of the README, joined with its backslash
+    continuations, parses with the current command line."""
+    lines = iter((Path(__file__).resolve().parents[1] / "README.md")
+                 .read_text(encoding="utf-8").splitlines())
+    commands = set()
+    for line in lines:
+        if not line.startswith("sas-transim "):
+            continue
+        while line.endswith("\\"):
+            line = line[:-1] + next(lines)
+        args = build_parser().parse_args(shlex.split(line)[1:])
+        commands.add(args.command)
+    assert commands == {"simulate", "compare", "ra", "hmin", "modes", "bench"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -124,8 +155,22 @@ def test_infinite_iloa_max_is_refused(tmp_path, monkeypatch, capsys, argv):
     (("simulate", "ieee9", "--horizon", "1", "--window", "nan"), "--window"),
     (("bench", "ieee9", "--horizon", "1", "--window", "inf"), "--window"),
     (("bench", "ieee9", "--horizon", "nan", "--window", "0.1"), "--horizon"),
-], ids=["simulate-inf", "simulate-nan", "bench-inf", "bench-horizon-nan"])
+    (("ra", "ieee9", "--state", "worst", "--search-window", "nan"), "--search-window"),
+    (("ra", "ieee9", "--state", "worst", "--search-window", "-1"), "--search-window"),
+    (("hmin", "ieee9", "--target-ra", "0.2", "--state", "worst",
+      "--search-window", "nan"), "--search-window"),
+    (("hmin", "ieee9", "--target-ra", "0.2", "--state", "worst",
+      "--search-window", "-1"), "--search-window"),
+    (("simulate", "ieee9", "--horizon", "1", "--dt", "nan"), "--dt"),
+    (("bench", "ieee9", "--horizon", "1", "--dt", "nan"), "--dt"),
+    (("ra", "ieee9", "--dt", "nan"), "--dt"),
+    (("hmin", "ieee9", "--target-ra", "0.2", "--dt", "nan"), "--dt"),
+], ids=["simulate-inf", "simulate-nan", "bench-inf", "bench-horizon-nan",
+        "ra-search-nan", "ra-search-neg", "hmin-search-nan", "hmin-search-neg",
+        "simulate-dt-nan", "bench-dt-nan", "ra-dt-nan", "hmin-dt-nan"])
 def test_non_finite_window_is_refused(tmp_path, monkeypatch, capsys, argv, named):
+    """Also a bad --search-window or --dt: each is refused before any work,
+    naming its flag rather than the library argument it feeds."""
     monkeypatch.chdir(tmp_path)   # where a wrongly accepted run writes its CSV
     rc, text, err = run(capsys, *argv)
     assert rc == 1

@@ -9,7 +9,7 @@ import pytest
 from sas_transim import (DivergenceError, MachineState, Trajectory,
                          ValidationError, WindowConfig, derive_window,
                          eval_window, handoff_state, i_loa, simulate_sas)
-from sas_transim.mmadm import _sample_times, read_csv
+from sas_transim.mmadm import read_csv
 from sas_transim.ra import ra_inputs_for_machine, estimate_ra
 from sas_transim.rk4 import IntegratorConfig, integrate
 
@@ -25,8 +25,8 @@ def test_config_validation():
         WindowConfig(t_init=0.1, adaptive=True, n_terms=2)
     with pytest.raises(ValidationError):
         WindowConfig(t_init=0.1, samples_per_window=2)
-    with pytest.raises(ValidationError):
-        WindowConfig(t_init=0.1, handoff_mode="midpoint")
+    with pytest.raises(TypeError):   # the analytic derivative is the only handoff
+        WindowConfig(t_init=0.1, handoff_mode="two_point")
 
 
 @pytest.mark.parametrize("value", [math.inf, math.nan])
@@ -78,7 +78,9 @@ def test_i_loa_zero_for_free_motion():
 # Handoff
 
 
-def test_handoff_modes_agree_on_linear_polynomial():
+def test_handoff_exact_on_linear_polynomial():
+    """Free motion from (0.1, 2.0) is the line 0.1 + 2 t: the handoff at
+    t = 0.3 is (0.7, 2.0)."""
     from sas_transim import SwingRhsParams
     rhs = SwingRhsParams(
         h=np.array([4.0]), d=np.array([0.0]), pm=np.array([0.0]),
@@ -87,24 +89,9 @@ def test_handoff_modes_agree_on_linear_polynomial():
         omega0=377.0)
     w = derive_window(rhs, MachineState(np.array([0.1]), np.array([2.0])), 3,
                       window=0.4)
-    a = handoff_state(w, 0.3, "analytic_derivative")
-    b = handoff_state(w, 0.3, "two_point")
-    assert np.allclose(a.delta, b.delta, rtol=0.0, atol=1e-15)
-    assert np.allclose(a.omega_dev, b.omega_dev, rtol=0.0, atol=1e-12)
-
-
-def test_handoff_two_point_backward_difference():
-    """Two-point speed differs from the exact derivative by O(h); both are
-    computed directly from the window polynomial."""
-    w = derive_window(table1_rhs(), table1_state(), 5, window=0.17)
-    t_cut = 0.15
-    a = handoff_state(w, t_cut, "analytic_derivative")
-    b = handoff_state(w, t_cut, "two_point")
-    h = 0.17 / 100.0
-    poly = w.sum_coeffs[0]
-    direct = (np.polyval(poly[::-1], t_cut) - np.polyval(poly[::-1], t_cut - h)) / h
-    assert b.omega_dev[0] == pytest.approx(direct, rel=1e-12)
-    assert abs(a.omega_dev[0] - b.omega_dev[0]) < 0.05
+    a = handoff_state(w, 0.3)
+    assert np.allclose(a.delta, [0.7], rtol=0.0, atol=1e-15)
+    assert np.allclose(a.omega_dev, [2.0], rtol=0.0, atol=1e-15)
 
 
 def test_handoff_range_check():
@@ -155,13 +142,6 @@ def test_window_boundary_continuity():
         assert np.abs(traj.delta[i] - nxt.delta).max() < 1e-12
         assert np.abs(traj.omega_dev[i] - nxt.omega_dev).max() < 1e-12
         state = nxt
-
-
-def test_sample_placement_two_point():
-    """Default three samples in two-point mode sit at {T/2, T - T/100, T}."""
-    traj = simulate_sas(table1_rhs(), table1_state(), 0.2,
-                        WindowConfig(t_init=0.2, handoff_mode="two_point"))
-    assert np.allclose(traj.times, [0.0, 0.1, 0.2 * 0.99, 0.2], rtol=0.0, atol=1e-12)
 
 
 def test_sample_placement_analytic():
@@ -246,10 +226,10 @@ def test_adaptive_cut_keeps_indicator_below_threshold():
 
 @pytest.mark.parametrize("cfg", [
     WindowConfig(t_init=0.1, n_terms=5),
-    WindowConfig(t_init=0.1, n_terms=4, samples_per_window=5, handoff_mode="two_point"),
+    WindowConfig(t_init=0.1, n_terms=4, samples_per_window=5),
     WindowConfig(t_init=0.25, n_terms=3, adaptive=True, i_loa_max=2.0,
                  samples_per_window=8),
-], ids=["analytic", "two-point", "adaptive-cut"])
+], ids=["analytic", "n4-five-samples", "adaptive-cut"])
 def test_driver_samples_equal_eval_window_bit_for_bit(cfg):
     """The driver evaluates angle, speed and indicator in one pass per
     window. Replayed window by window, every recorded sample equals
@@ -265,11 +245,11 @@ def test_driver_samples_equal_eval_window_bit_for_bit(cfg):
     for boundary in traj.window_boundaries:
         t_w = min(cfg.t_init, horizon - elapsed)
         w = derive_window(rhs, state, cfg.n_terms, window=t_w)
-        samples = _sample_times(t_w, cfg)
+        samples = np.linspace(0.0, t_w, cfg.samples_per_window)[1:]
         if cfg.adaptive:
             over = [i for i, s in enumerate(samples) if i_loa(w, s) > cfg.i_loa_max]
             samples = samples[:over[0]] if over else samples
-        state = handoff_state(w, samples[-1], cfg.handoff_mode)
+        state = handoff_state(w, samples[-1])
         for s in samples:
             want = state if s == samples[-1] else eval_window(w, s)
             assert traj.times[row] == elapsed + s
