@@ -61,7 +61,11 @@ from .netmodel import PowerSystemCase, initialized_case
 
 @dataclass(frozen=True)
 class MachineState:
-    """Absolute rotor angles (rad) and speed deviations (rad/s) at an instant."""
+    """Absolute rotor angles (rad) and speed deviations (rad/s) at an instant.
+
+    Both are (K,) arrays; leading dimensions batch independent systems for
+    :func:`derive_window`.
+    """
 
     delta: np.ndarray
     omega_dev: np.ndarray
@@ -69,8 +73,8 @@ class MachineState:
     def __post_init__(self):
         d = np.array(self.delta, dtype=float)
         w = np.array(self.omega_dev, dtype=float)
-        if d.shape != w.shape or d.ndim != 1:
-            raise ValidationError("delta and omega_dev must be 1-D and equally long")
+        if d.shape != w.shape or d.ndim < 1:
+            raise ValidationError("delta and omega_dev must be arrays of one shape")
         if not (np.isfinite(d).all() and np.isfinite(w).all()):
             raise ValidationError("machine state contains non-finite entries")
         d.setflags(write=False)
@@ -80,7 +84,7 @@ class MachineState:
 
     @property
     def k(self) -> int:
-        return self.delta.size
+        return self.delta.shape[-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,6 +98,11 @@ class SwingRhsParams:
     admittance among the machine EMF nodes (the j = i term is the
     self-conductance payment E_i^2 G_ii). An infinite inertia marks a node
     with prescribed drift: its acceleration is identically zero.
+
+    Leading dimensions of ``y`` (..., K, K) and of ``h``, ``d``, ``pm`` and
+    ``e`` (..., K) batch independent systems for :func:`derive_window`;
+    ``electrical_power``, ``acceleration`` and the integrators take one
+    system.
     """
 
     h: np.ndarray
@@ -105,7 +114,7 @@ class SwingRhsParams:
 
     def __post_init__(self):
         y = np.array(self.y, dtype=complex)
-        if y.ndim != 2 or y.shape[0] != y.shape[1]:
+        if y.ndim < 2 or y.shape[-1] != y.shape[-2]:
             raise ValidationError("admittance matrix y must be square")
         if not np.isfinite(y).all():
             raise ValidationError("admittance matrix y contains non-finite entries")
@@ -114,7 +123,7 @@ class SwingRhsParams:
         k = self.k
         for name in ("h", "d", "pm", "e"):
             arr = np.array(getattr(self, name), dtype=float)
-            if arr.shape != (k,):
+            if arr.shape != y.shape[:-1]:
                 raise ValidationError(f"{name} must have one entry per machine ({k})")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -131,14 +140,12 @@ class SwingRhsParams:
 
     @property
     def k(self) -> int:
-        return self.y.shape[0]
+        return self.y.shape[-1]
 
     @cached_property
     def gain(self) -> np.ndarray:
         """omega0 / (2 H); zero for infinite-inertia (reference) nodes."""
-        with np.errstate(divide="ignore"):
-            g = self.omega0 / (2.0 * self.h)
-        g[~np.isfinite(self.h)] = 0.0
+        g = self.omega0 / (2.0 * self.h)
         g.setflags(write=False)
         return g
 
@@ -154,7 +161,7 @@ class SwingRhsParams:
         """(Gc, Gs) with Gc_ij = E_i E_j G_ij and Gs_ij = E_i E_j B_ij;
         contiguous, because ``electrical_power`` runs measurably slower on
         strided blocks of ``coupling``."""
-        eey = np.outer(self.e, self.e)
+        eey = self.e[..., :, None] * self.e[..., None, :]
         gc = eey * self.y.real
         gs = eey * self.y.imag
         gc.setflags(write=False)
@@ -169,7 +176,12 @@ class SwingRhsParams:
         (V, U) with Pe = S V + C U.
         """
         gc, gs = self._blocks
-        out = np.block([[gc, gs], [-gs, gc]])
+        k = self.k
+        out = np.empty(gc.shape[:-2] + (2 * k, 2 * k))
+        out[..., :k, :k] = gc
+        out[..., :k, k:] = gs
+        out[..., k:, :k] = -gs
+        out[..., k:, k:] = gc
         out.setflags(write=False)
         return out
 
@@ -208,7 +220,9 @@ def equilibrium_state(gens) -> MachineState:
 
 
 # ---------------------------------------------------------------------------
-# Batched polynomial kernels (trailing axis = ascending t powers)
+# Batched polynomial kernels (trailing axis = ascending t powers; any leading
+# axes batch independent systems, and each system's products keep the shapes
+# of an unbatched call, so its results are the same to the last bit)
 
 
 @lru_cache(maxsize=None)
@@ -262,25 +276,26 @@ def _sin_cos_order(sc: np.ndarray, x: np.ndarray, n: int, q: int):
     """Fill ``sc[..., n]`` = (S_n, C_n), the lambda^n coefficients of the
     sine and cosine of each machine's angle series, through t^(q-1).
 
-    ``x`` (orders, K, p) holds the angle series by lambda order, with x[0]
-    constant in t; ``sc`` (2, K, p, orders) must hold orders below n. Order
-    n reads the first q coefficients of x[:n+1] and of the lower orders of
-    ``sc`` only, so it is exact when every one of them, and S_n and C_n,
-    has degree below q.
+    ``x`` (..., orders, K, p) holds the angle series by lambda order, with
+    x[0] constant in t; ``sc`` (..., 2, K, p, orders) must hold orders
+    below n. Order n reads the first q coefficients of x[:n+1] and of the
+    lower orders of ``sc`` only, so it is exact when every one of them, and
+    S_n and C_n, has degree below q.
     """
     if n == 0:
-        sc[0, :, 0, 0] = np.sin(x[0, :, 0])
-        sc[1, :, 0, 0] = np.cos(x[0, :, 0])
+        sc[..., 0, :, 0, 0] = np.sin(x[..., 0, :, 0])
+        sc[..., 1, :, 0, 0] = np.cos(x[..., 0, :, 0])
         return
-    dx = x[n:0:-1, :, :q] * np.arange(n, 0, -1.0)[:, None, None]   # (n - m) x_{n-m}, m < n
+    dx = x[..., n:0:-1, :, :q] * np.arange(n, 0, -1.0)[:, None, None]   # (n - m) x_{n-m}, m < n
     # (sum C_m dx, sum S_m dx) / (n, -n) = (S_n, C_n)
-    acc = _truncated_product(sc[::-1, :, :q, :n], dx.transpose(1, 0, 2))
-    sc[:, :, :q, n] = acc / np.array([n, -n])[:, None, None]
+    acc = _truncated_product(sc[..., ::-1, :, :q, :n], dx.swapaxes(-3, -2)[..., None, :, :, :])
+    sc[..., :q, n] = acc / np.array([n, -n])[:, None, None]
 
 
 def _nonlinearity_orders(rhs: SwingRhsParams, x: np.ndarray, widths=None):
-    """Yield A_0, A_1, ... for every machine, each (K, p): the lambda^n
-    coefficients of gain * (Pm - Pe) along the angle series ``x``.
+    """Yield A_0, A_1, ... for every machine, each (..., K, p): the lambda^n
+    coefficients of gain * (Pm - Pe) along the angle series ``x``
+    (..., orders, K, p), batched like ``rhs``.
 
     ``widths[n]``, by default p, bounds the coefficients lambda order n can
     reach: x_n, S_n, C_n and A_n must have degree below it. Order n works
@@ -288,20 +303,21 @@ def _nonlinearity_orders(rhs: SwingRhsParams, x: np.ndarray, widths=None):
     A_n back to p. A_n reads x[:n+1] only, so a caller may fill x[n] after
     receiving A_{n-1}.
     """
-    orders, k, p = x.shape
+    batch, (orders, k, p) = x.shape[:-3], x.shape[-3:]
     # lambda orders last in (S, C) and next to last in (V, U), so that the
     # sums over m of S_m V_{n-m} and C_m U_{n-m} are one matmul
-    sc = np.zeros((2, k, p, orders))
-    vu = np.zeros((2, k, orders, p))
-    neg_gain = -rhs.gain[:, None]
+    sc = np.zeros(batch + (2, k, p, orders))
+    vu = np.zeros(batch + (2, k, orders, p))
+    neg_gain = -rhs.gain[..., None]
     for n, q in enumerate([p] * orders if widths is None else widths):
         _sin_cos_order(sc, x, n, q)
-        vu[:, :, n, :q] = (rhs.coupling @ sc[:, :, :q, n].reshape(2 * k, q)).reshape(2, k, q)
-        s_v, c_u = _truncated_product(sc[:, :, :q, :n + 1], vu[:, :, n::-1, :q])
-        a_n = np.zeros((k, p))
-        a_n[:, :q] = neg_gain * (s_v + c_u)
+        vu[..., n, :q] = (rhs.coupling @ sc[..., :q, n].reshape(batch + (2 * k, q))
+                          ).reshape(batch + (2, k, q))
+        s_v_c_u = _truncated_product(sc[..., :q, :n + 1], vu[..., n::-1, :q])
+        a_n = np.zeros(batch + (k, p))
+        a_n[..., :q] = neg_gain * (s_v_c_u[..., 0, :, :] + s_v_c_u[..., 1, :, :])
         if n == 0:
-            a_n[:, 0] += rhs.gain * rhs.pm
+            a_n[..., 0] += rhs.gain * rhs.pm
         yield a_n
 
 
@@ -314,9 +330,10 @@ class SasWindow:
     """N polynomial terms per machine, their sum and derivatives, valid on
     [t_start, t_start + T] in local time.
 
-    ``terms`` has shape (N, K, degree+1); ``sum_coeffs`` is the coefficient
-    sum, ``sum_deriv`` its derivative and ``last_term_deriv`` the derivative
-    of the highest-order term (the loss-of-accuracy probe).
+    ``terms`` has shape (N, K, degree+1), after any batch dimensions;
+    ``sum_coeffs`` is the coefficient sum, ``sum_deriv`` its derivative and
+    ``last_term_deriv`` the derivative of the highest-order term (the
+    loss-of-accuracy probe).
     """
 
     t_start: float
@@ -329,7 +346,7 @@ class SasWindow:
 
     @property
     def k(self) -> int:
-        return self.terms.shape[1]
+        return self.terms.shape[-2]
 
 
 def derive_window(rhs: SwingRhsParams, state0: MachineState, n_terms: int, *,
@@ -339,20 +356,22 @@ def derive_window(rhs: SwingRhsParams, state0: MachineState, n_terms: int, *,
     ``n_terms`` >= 2 terms are produced per machine, each with 2 * n_terms + 1
     coefficients: more than the highest degree the recursion reaches, so the
     polynomial arithmetic is exact. The window length only tags the result's
-    validity range; the coefficients do not depend on it.
+    validity range; the coefficients do not depend on it. A batched ``rhs``
+    and ``state0`` (same leading dimensions) give a window whose arrays carry
+    those dimensions first; each system's terms are those of its own call.
     """
     if n_terms < 2:
         raise ValidationError("need at least two terms (initial angle and speed)")
-    if state0.k != rhs.k:
+    if state0.delta.shape != rhs.h.shape:
         raise ValidationError("state size does not match machine count")
     p = 2 * n_terms + 1
-    x = np.zeros((n_terms, rhs.k, p))
-    x[0, :, 0] = state0.delta
-    x[1, :, 1] = state0.omega_dev
+    x = np.zeros(rhs.h.shape[:-1] + (n_terms, rhs.k, p))
+    x[..., 0, :, 0] = state0.delta
+    x[..., 1, :, 1] = state0.omega_dev
     # deg x_n <= 2n by induction (x_{n+1} double-integrates degree 2n), and
     # the sines, cosines and A_n of order n stay within the same degree.
     orders = _nonlinearity_orders(rhs, x, [min(2 * n + 1, p) for n in range(n_terms)])
-    a_col = rhs.a[:, None]
+    a_col = rhs.a[..., None]
     ks, kk = _index_factors(p)
     # overflow to inf is caught by the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -360,17 +379,17 @@ def derive_window(rhs: SwingRhsParams, state0: MachineState, n_terms: int, *,
             a_n = next(orders)
             # x_{n+1} = II[A_n] - a II[dx_n/dt] from t^2 up (x_1 already
             # holds omega t); II[dx_n/dt] has x_n[k] / (k + 1) at t^(k+1).
-            x[n + 1, :, 2:] = a_n[:, :-2] / kk - a_col * (x[n, :, 1:-1] / ks[1:])
+            x[..., n + 1, :, 2:] = a_n[..., :-2] / kk - a_col * (x[..., n, :, 1:-1] / ks[1:])
     if not np.isfinite(x).all():
-        order, machine = (int(i) for i in np.argwhere(~np.isfinite(x))[0][:2])
+        order, machine = (int(i) for i in np.argwhere(~np.isfinite(x))[0][-3:-1])
         raise DivergenceError(
             f"non-finite series coefficient at term order {order}, "
             f"machine {machine}", t=t_start, machine=machine)
-    total = x.sum(axis=0)
+    total = x.sum(axis=-3)
     for arr in (x, total):
         arr.setflags(write=False)
     sum_deriv = _deriv_coeffs(total)
-    last_deriv = _deriv_coeffs(x[-1])
+    last_deriv = _deriv_coeffs(x[..., -1, :, :])
     sum_deriv.setflags(write=False)
     last_deriv.setflags(write=False)
     return SasWindow(t_start=t_start, T=window, n_terms=n_terms, terms=x,

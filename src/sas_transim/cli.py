@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .adm import MachineState, SwingRhsParams, equilibrium_state
 from .errors import NumericalError, ValidationError
-from .mmadm import WindowConfig, read_csv, simulate_sas
+from .mmadm import MAX_N_TERMS, WindowConfig, read_csv, simulate_sas
 from .netmodel import initialized_case, resolve_case, set_inertia
 from .ra import (estimate_hmin, estimate_ra, fleet_ra, mode_periods,
                  ra_inputs_for_machine, system_ra)
@@ -120,6 +120,21 @@ def _check_positive(args, *dests):
                                   f"must be positive and finite, got {value!r}")
 
 
+# The least value of each integer option, and the greatest --n-terms.
+_LEAST = {"n_terms": 2, "samples": 3, "record_every": 1}
+
+
+def _check_counts(args, *dests):
+    """Refuse a given integer option out of its range before any work."""
+    for dest in dests:
+        value, flag = getattr(args, dest), "--" + dest.replace("_", "-")
+        if value < _LEAST[dest]:
+            raise ValidationError(f"{flag}: must be at least {_LEAST[dest]}, got {value}")
+        if dest == "n_terms" and value > MAX_N_TERMS:
+            raise ValidationError(f"{flag}: must be at most MAX_N_TERMS = {MAX_N_TERMS}, "
+                                  f"got {value}")
+
+
 def _default_window(case, state, args, reference=None):
     """0.8x the system accuracy window at ``state``, at most the horizon."""
     est = 0.8 * system_ra(fleet_ra(case, state, args.iloa_max, reference=reference))
@@ -147,6 +162,7 @@ def _print_table(header, rows, as_csv, out=None):
 
 def cmd_simulate(args) -> int:
     _check_positive(args, "iloa_max", "window", "horizon", "dt")
+    _check_counts(args, "n_terms", "samples", "record_every")
     case = _load_case(args)
     kind, ref_bus = _reference_arg(case, args.reference)
     if kind == "bus" and args.relative:
@@ -305,6 +321,7 @@ def cmd_modes(args) -> int:
 
 def cmd_bench(args) -> int:
     _check_positive(args, "iloa_max", "window", "horizon", "dt")
+    _check_counts(args, "n_terms")
     t0 = time.perf_counter()
     case = _load_case(args)
     rhs = SwingRhsParams.from_case(case, "post_fault")

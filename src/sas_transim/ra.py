@@ -7,7 +7,8 @@ loss-of-accuracy indicator, and the smallest positive R solving
 |4 c1 R^3 + 3 c2 R^2| = I_max is the maximum window of accuracy R_A. It is
 the smallest positive real root of the two cubics 4 c1 R^3 + 3 c2 R^2 =
 +-I_max (companion-matrix roots polished by two Newton steps); a root
-beyond 10 s counts as none, and R_A is then unbounded.
+beyond 10 s counts as none, and R_A is then unbounded. A fleet of machines
+is one batched derivation and one stacked eigenvalue solve.
 
 The minimum inertia for a desired R_A inverts the same relation. With
 u = 1/H, the gain omega0/2H and the damping D/2H are both proportional to u,
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,37 +95,42 @@ class RaResult:
     closed_form_discrepancy: float  # max relative deviation of the closed form
 
 
-def _pair_rhs(inp: RaInputs, inertias) -> SwingRhsParams:
-    """Machine-versus-reference equivalents, one pair per inertia.
+def _pair_rhs(items) -> SwingRhsParams:
+    """Machine-versus-reference equivalents of ``items``, a list of
+    (RaInputs, inertias), as one batch with an item per entry.
 
-    Pair i holds the machine at node 2i and its reference at node 2i + 1,
-    an infinite-inertia node that drifts at its initial angle rate. The
-    network is block diagonal, so pairs do not couple and one derivation
-    serves every inertia.
+    Within an item, pair i holds the machine at node 2i, at the i-th
+    inertia, and its reference at node 2i + 1, an infinite-inertia node
+    that drifts at its initial angle rate. The item's network is block
+    diagonal, so its pairs do not couple and one derivation serves every
+    inertia. Every item needs the same number of inertias and omega0.
     """
-    n = len(inertias)
-    y12 = cmath.rect(inp.y, inp.theta)
-    y = np.zeros((2 * n, 2 * n), dtype=complex)
-    for i in range(0, 2 * n, 2):
-        y[i:i + 2, i:i + 2] = [[inp.g, y12], [y12, 0.0]]
+    n = len(items[0][1])
+    machine = np.arange(0, 2 * n, 2)
+    y = np.zeros((len(items), 2 * n, 2 * n), dtype=complex)
+    y[:, machine, machine] = [[inp.g] for inp, _ in items]
+    y[:, machine, machine + 1] = y[:, machine + 1, machine] = \
+        [[cmath.rect(inp.y, inp.theta)] for inp, _ in items]
     return SwingRhsParams(
-        h=[x for h in inertias for x in (h, math.inf)],
-        d=[inp.d, 0.0] * n,
-        pm=[inp.pm, 0.0] * n,
-        e=[inp.e, inp.e_inf] * n,
+        h=[[x for h in inertias for x in (h, math.inf)] for _, inertias in items],
+        d=[[inp.d, 0.0] * n for inp, _ in items],
+        pm=[[inp.pm, 0.0] * n for inp, _ in items],
+        e=[[inp.e, inp.e_inf] * n for inp, _ in items],
         y=y,
-        omega0=inp.omega0,
+        omega0=items[0][0].omega0,
     )
 
 
-def _third_term(inp: RaInputs, inertias) -> tuple[np.ndarray, np.ndarray]:
+def _third_term(items) -> tuple[np.ndarray, np.ndarray]:
     """(c1, c2), the t^4 and t^3 coefficients of the machine's third term,
-    at each inertia: one N = 3 derivation of the stacked pairs."""
-    n = len(inertias)
-    state0 = MachineState([inp.delta0_machine, inp.delta0_ref] * n,
-                          [inp.ddelta0_machine, inp.ddelta0_ref] * n)
-    third = derive_window(_pair_rhs(inp, inertias), state0, 3).terms[2, 0::2]
-    return third[:, 4], third[:, 3]
+    each (items, inertias): one N = 3 derivation of the batch that
+    :func:`_pair_rhs` builds."""
+    n = len(items[0][1])
+    state0 = MachineState(
+        [[inp.delta0_machine, inp.delta0_ref] * n for inp, _ in items],
+        [[inp.ddelta0_machine, inp.ddelta0_ref] * n for inp, _ in items])
+    third = derive_window(_pair_rhs(items), state0, 3).terms[:, 2, 0::2]
+    return third[..., 4], third[..., 3]
 
 
 def _closed_form_c1_c2(inp: RaInputs) -> tuple[float, float]:
@@ -137,27 +143,80 @@ def _closed_form_c1_c2(inp: RaInputs) -> tuple[float, float]:
     return c1, c2
 
 
-def _smallest_indicator_root(c1: float, c2: float, target: float):
-    """Smallest R in (0, 10 s] with |4 c1 R^3 + 3 c2 R^2| = target.
+def _poly_roots(coeffs) -> list[list[complex]]:
+    """The roots ``numpy.roots`` returns for each row of ``coeffs``
+    (rows, degree + 1), bit for bit and in its order.
+
+    Each row is trimmed of leading and trailing zeros and its companion
+    matrix built as ``numpy.roots`` builds it; the matrices are stacked by
+    trimmed degree, one eigenvalue solve per degree, and each trailing zero
+    is a zero root. An all-zero row has no roots.
+    """
+    rows = np.asarray(coeffs, dtype=float).tolist()
+    out = [[] for _ in rows]
+    zeros = [0] * len(rows)
+    by_degree = {}
+    for i, row in enumerate(rows):
+        nonzero = [j for j, c in enumerate(row) if c]
+        if nonzero:
+            first, last = nonzero[0], nonzero[-1]
+            zeros[i] = len(row) - 1 - last
+            if last > first:
+                by_degree.setdefault(last - first, []).append((i, row[first:last + 1]))
+    for degree, members in by_degree.items():
+        p = np.array([row for _, row in members])
+        companion = np.zeros((len(members), degree, degree))
+        companion[:, 1:, :-1] = np.eye(degree - 1)
+        companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+        for (i, _), roots in zip(members, np.linalg.eigvals(companion).tolist()):
+            out[i] = roots
+    return [roots + [0j] * n for roots, n in zip(out, zeros)]
+
+
+def _indicator_roots(c1, c2, targets) -> list[tuple[float, str]]:
+    """Smallest R in (0, 10 s] with |4 c1 R^3 + 3 c2 R^2| = target, for
+    each entry of the equally long sequences ``c1``, ``c2`` and ``targets``.
 
     The candidates are the positive real roots of the two cubics
-    4 c1 R^3 + 3 c2 R^2 = +-target. Two Newton steps polish the smallest,
-    because companion-matrix roots lose digits when |c1| << |c2|. The
-    indicator starts at zero, below the target, and its crossings alternate
-    up and down, so a third root is a second upward crossing.
-    Returns (R, status).
+    4 c1 R^3 + 3 c2 R^2 = +-target, all found by one :func:`_poly_roots`.
+    Two Newton steps polish the smallest, because companion-matrix roots
+    lose digits when |c1| << |c2|. The indicator starts at zero, below the
+    target, and its crossings alternate up and down, so a third root is a
+    second upward crossing. Returns one (R, status) per entry.
     """
-    roots = sorted(float(r.real) for level in (target, -target)
-                   for r in np.roots([4.0 * c1, 3.0 * c2, 0.0, -level])
-                   if r.imag == 0.0 and 0.0 < r.real <= _RA_MAX)
-    if not roots:
-        return math.inf, "none"
-    r = roots[0]
-    level = math.copysign(target, (4.0 * c1 * r + 3.0 * c2) * r * r)
-    for _ in range(2):
-        r -= ((4.0 * c1 * r + 3.0 * c2) * r * r - level) / ((12.0 * c1 * r + 6.0 * c2) * r)
-    status = "unique_positive" if len(roots) < 3 else "smallest_positive_of_many"
-    return r, status
+    entries = [(float(a), float(b), float(t)) for a, b, t in zip(c1, c2, targets)]
+    at_plus = [[4.0 * a, 3.0 * b, 0.0, -t] for a, b, t in entries]
+    at_minus = [[4.0 * a, 3.0 * b, 0.0, t] for a, b, t in entries]
+    roots = _poly_roots(at_plus + at_minus)
+    out = []
+    for (a, b, target), plus, minus in zip(entries, roots, roots[len(entries):]):
+        reals = [r.real for r in plus + minus
+                 if r.imag == 0.0 and 0.0 < r.real <= _RA_MAX]
+        if not reals:
+            out.append((math.inf, "none"))
+            continue
+        r = min(reals)
+        level = math.copysign(target, (4.0 * a * r + 3.0 * b) * r * r)
+        for _ in range(2):
+            r -= ((4.0 * a * r + 3.0 * b) * r * r - level) / ((12.0 * a * r + 6.0 * b) * r)
+        out.append((r, "unique_positive" if len(reals) < 3 else "smallest_positive_of_many"))
+    return out
+
+
+def _ra_results(inputs) -> list[RaResult]:
+    """:func:`estimate_ra` of every entry of ``inputs``: one batched
+    derivation and one root solve for all of them."""
+    c1s, c2s = (c[:, 0].tolist() for c in _third_term([(inp, [inp.h]) for inp in inputs]))
+    roots = _indicator_roots(c1s, c2s, [inp.i_loa_max for inp in inputs])
+    out = []
+    for inp, c1, c2, (r_a, status) in zip(inputs, c1s, c2s, roots):
+        cf1, cf2 = _closed_form_c1_c2(inp)
+        scale = max(abs(c1), abs(c2), 1e-30)
+        disc = max(abs(c1 - cf1), abs(c2 - cf2)) / scale
+        out.append(RaResult(c1=c1, c2=c2, r_a=r_a, root_status=status,
+                            c1_closed_form=cf1, c2_closed_form=cf2,
+                            closed_form_discrepancy=disc))
+    return out
 
 
 def estimate_ra(inp: RaInputs) -> RaResult:
@@ -167,14 +226,7 @@ def estimate_ra(inp: RaInputs) -> RaResult:
     (t^4 and t^3 coefficients of the third term); the hand formula is
     evaluated alongside as a cross-check.
     """
-    c1, c2 = (float(c[0]) for c in _third_term(inp, [inp.h]))
-    cf1, cf2 = _closed_form_c1_c2(inp)
-    scale = max(abs(c1), abs(c2), 1e-30)
-    disc = max(abs(c1 - cf1), abs(c2 - cf2)) / scale
-    r_a, status = _smallest_indicator_root(c1, c2, inp.i_loa_max)
-    return RaResult(c1=c1, c2=c2, r_a=r_a, root_status=status,
-                    c1_closed_form=cf1, c2_closed_form=cf2,
-                    closed_form_discrepancy=disc)
+    return _ra_results([inp])[0]
 
 
 def _positive_u(q: float, p: float, level: float):
@@ -208,14 +260,17 @@ def estimate_hmin(inp: RaInputs, target_ra: float) -> float:
     (a touching candidate is passed over), and H_min = 1/u*, clamped up to
     1e-2 s; an H_min above 1e4 s raises NumericalError. Where R_A grows
     with H this is simply the first H whose window reaches the target. The
-    result is checked with :func:`estimate_ra` and nudged up by a relative
-    1e-12, at most 8 times, to absorb round-off of the fit. ``target_ra``
-    must be positive and finite.
+    fit can land a relative 1e-12 below the boundary of the directly derived
+    window, so the ladder H_min (1 + 1e-12)^k, k = 0..8, is derived in one
+    batch and the first rung that :func:`estimate_ra` would pass is
+    returned. ``target_ra`` must be positive and finite.
     """
     if not (target_ra > 0 and math.isfinite(target_ra)):
         raise ValidationError(f"target_ra must be positive and finite, got {target_ra!r}")
     i_max = inp.i_loa_max
-    (c1_1, c1_2), (c2_1, c2_2) = (c.tolist() for c in _third_term(inp, [1.0, 2.0]))
+    # One item of two pairs, not two items: the block-diagonal product is
+    # what fixes alpha and beta to the last bit.
+    (c1_1, c1_2), (c2_1, c2_2) = (c[0].tolist() for c in _third_term([(inp, [1.0, 2.0])]))
     # c = alpha u + beta u^2, read off u = 1 and u = 1/2
     alpha1, beta1 = 4.0 * c1_2 - c1_1, 2.0 * c1_1 - 4.0 * c1_2
     alpha2, beta2 = 4.0 * c2_2 - c2_1, 2.0 * c2_1 - 4.0 * c2_2
@@ -224,33 +279,39 @@ def estimate_hmin(inp: RaInputs, target_ra: float) -> float:
     kappa = a2 * b3 - a3 * b2
     t_end = min(target_ra, _RA_MAX)
 
+    levels = (i_max, -i_max)
+    # The sextic above divided by -R^2, at both levels. A double root may
+    # come back as a complex pair; keeping its real part costs one check at
+    # most.
+    quartics = _poly_roots([[3.0 * kappa * a3, 2.0 * kappa * a2, 9.0 * level * b3 * b3,
+                             12.0 * level * b3 * b2, 4.0 * level * b2 * b2]
+                            for level in levels])
     candidates = []
-    for level in (i_max, -i_max):
-        # The sextic above divided by -R^2. A double root may come back as
-        # a complex pair; keeping its real part costs one check at most.
-        quartic = [3.0 * kappa * a3, 2.0 * kappa * a2, 9.0 * level * b3 * b3,
-                   12.0 * level * b3 * b2, 4.0 * level * b2 * b2]
-        extrema = [r.real for r in np.roots(quartic)
+    for level, roots in zip(levels, quartics):
+        extrema = [r.real for r in roots
                    if abs(r.imag) <= 1e-6 * abs(r) and 0.0 < r.real < t_end]
         for r in (t_end, *extrema):
             candidates += _positive_u((b3 * r + b2) * r * r, (a3 * r + a2) * r * r, level)
 
-    def misses(u):
-        c1, c2 = alpha1 * u + beta1 * u * u, alpha2 * u + beta2 * u * u
-        return _smallest_indicator_root(c1, c2, i_max)[0] < target_ra
-
-    u_star = next((u for u in sorted(candidates)
-                   if u < 1.0 / _H_LO and misses(u * (1.0 + 1e-9))), None)
+    # u* is the first candidate whose (1 + 1e-9) u misses the target.
+    below = [u for u in sorted(candidates) if u < 1.0 / _H_LO]
+    probes = [u * (1.0 + 1e-9) for u in below]
+    checked = _indicator_roots([alpha1 * u + beta1 * u * u for u in probes],
+                               [alpha2 * u + beta2 * u * u for u in probes],
+                               [i_max] * len(probes))
+    u_star = next((u for u, (r, _) in zip(below, checked) if r < target_ra), None)
     if u_star is not None and u_star < 1.0 / _H_HI:
         raise NumericalError(
             f"target R_A={target_ra}s unreachable up to H={_H_HI}s: inertias "
             f"just below {1.0 / u_star:.6g}s miss it")
     h_min = _H_LO if u_star is None else 1.0 / u_star
-    for h in h_min * (1.0 + 1e-12) ** np.arange(9):
-        if estimate_ra(replace(inp, h=float(h))).r_a >= target_ra:
-            return float(h)
+    ladder = (h_min * (1.0 + 1e-12) ** np.arange(9)).tolist()
+    c1s, c2s = (c[:, 0].tolist() for c in _third_term([(inp, [h]) for h in ladder]))
+    for h, (r_a, _) in zip(ladder, _indicator_roots(c1s, c2s, [i_max] * len(ladder))):
+        if r_a >= target_ra:
+            return h
     raise NumericalError(
-        f"target R_A={target_ra}s: estimate_ra misses it at H={h:.12g}s, "
+        f"target R_A={target_ra}s: estimate_ra misses it at H={ladder[-1]:.12g}s, "
         f"8 nudges above the closed-form H_min")
 
 
@@ -329,18 +390,19 @@ def fleet_ra(case: PowerSystemCase, state: MachineState, i_loa_max: float,
 
     Returns a list of (bus, RaInputs, RaResult), skipping the reference
     machine when the reference is a generator EMF node. The inputs are
-    built once per call by :func:`_pair_inputs`.
+    built once per call by :func:`_pair_inputs`, and every machine's result
+    equals :func:`estimate_ra` on its inputs, from one batched derivation
+    and one root solve. ``jobs`` must be at least 1 and is otherwise unused;
+    it stays only while the benchmark's traced probe passes it, and goes
+    with the next benchmark revision.
     """
-    def one(pair):
-        bus, inp = pair
-        return bus, inp, estimate_ra(inp)
-
+    if not jobs >= 1:
+        raise ValidationError(f"jobs must be at least 1, got {jobs!r}")
     pairs = _pair_inputs(case, state, i_loa_max, reference, epoch)
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(one, pairs))
-    return [one(pair) for pair in pairs]
+    if not pairs:
+        return []
+    results = _ra_results([inp for _, inp in pairs])
+    return [(bus, inp, res) for (bus, inp), res in zip(pairs, results)]
 
 
 def system_ra(results) -> float:

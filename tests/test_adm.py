@@ -341,6 +341,69 @@ def test_window_divergence_error_names_machine():
     assert err.value.machine == 0
 
 
+def _random_pairs(rng, b):
+    """A batch of ``b`` random two-node systems; in every other one node 1
+    is an infinite-inertia reference, as in the accuracy-window pairs."""
+    y = rng.normal(size=(b, 2, 2)) + 1j * rng.normal(size=(b, 2, 2))
+    h = rng.uniform(1.0, 10.0, size=(b, 2))
+    h[::2, 1] = math.inf
+    rhs = SwingRhsParams(h=h, d=rng.uniform(0.0, 2.0, size=(b, 2)),
+                         pm=rng.uniform(0.0, 2.0, size=(b, 2)),
+                         e=rng.uniform(0.9, 1.1, size=(b, 2)),
+                         y=y + y.swapaxes(1, 2), omega0=OMEGA0)
+    state = MachineState(rng.uniform(-1.0, 1.0, size=(b, 2)),
+                         rng.uniform(-5.0, 5.0, size=(b, 2)))
+    return rhs, state
+
+
+def _fleet_pairs(case, i_loa_max=5.0):
+    """The accuracy-window pairs of ``case``'s fleet at its clearing state,
+    one batch item per machine."""
+    from sas_transim import ra
+    from sas_transim.rk4 import fault_on_bootstrap
+    state, _ = fault_on_bootstrap(case, IntegratorConfig(dt=1e-3))
+    inputs = [inp for _, inp in ra._pair_inputs(case, state, i_loa_max, None, "post_fault")]
+    rhs = ra._pair_rhs([(inp, [inp.h]) for inp in inputs])
+    return rhs, MachineState([[i.delta0_machine, i.delta0_ref] for i in inputs],
+                             [[i.ddelta0_machine, i.ddelta0_ref] for i in inputs])
+
+
+@pytest.mark.parametrize("n_terms", [3, 6])
+@pytest.mark.parametrize("batch", ["random", "ieee9-fleet"])
+def test_batched_window_items_equal_their_own_windows(batch, n_terms, request):
+    """Each item of a batched derivation is bit for bit the window of its
+    own unbatched call: the batch axis never changes a product's shape."""
+    if batch == "random":
+        rhs, state = _random_pairs(np.random.default_rng(5), 5)
+    else:
+        rhs, state = _fleet_pairs(request.getfixturevalue("ieee9_case"))
+    w = derive_window(rhs, state, n_terms)
+    assert w.terms.shape == rhs.h.shape[:1] + (n_terms, 2, 2 * n_terms + 1)
+    for b in range(rhs.h.shape[0]):
+        one = derive_window(
+            SwingRhsParams(h=rhs.h[b], d=rhs.d[b], pm=rhs.pm[b], e=rhs.e[b],
+                           y=rhs.y[b], omega0=rhs.omega0),
+            MachineState(state.delta[b], state.omega_dev[b]), n_terms)
+        for name in ("terms", "sum_coeffs", "sum_deriv", "last_term_deriv"):
+            assert getattr(w, name)[b].tobytes() == getattr(one, name).tobytes(), (b, name)
+
+
+def test_batched_window_divergence_names_machine():
+    """One runaway pair makes the whole batch raise, naming its machine."""
+    rhs, state = _random_pairs(np.random.default_rng(6), 3)
+    omega = state.omega_dev.copy()
+    omega[1, 0] = 1e200
+    with pytest.raises(DivergenceError, match="machine 0") as err:
+        derive_window(rhs, MachineState(state.delta, omega), 6)
+    assert err.value.machine == 0
+
+
+def test_batched_window_refuses_a_state_of_another_shape():
+    rhs, state = _random_pairs(np.random.default_rng(7), 3)
+    with pytest.raises(ValidationError, match="state size"):
+        derive_window(rhs, MachineState(state.delta[:2], state.omega_dev[:2]), 3)
+
+
 def test_eval_window_range_check():
     w = derive_window(table1_rhs(), table1_state(), 3, window=0.2)
     with pytest.raises(ValidationError):

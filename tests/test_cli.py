@@ -115,6 +115,23 @@ def test_usage_error_exits_1(tmp_path, monkeypatch, capsys, argv, named):
     assert text == "" and os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("argv, named", [
+    (("simulate", "smib", "--horizon", "1", "--n-terms", "1"), "--n-terms"),
+    (("bench", "smib", "--horizon", "1", "--n-terms", "1"), "--n-terms"),
+    (("simulate", "smib", "--horizon", "1", "--n-terms", str(MAX_N_TERMS + 1)), "--n-terms"),
+    (("simulate", "smib", "--horizon", "1", "--samples", "2"), "--samples"),
+    (("simulate", "smib", "--horizon", "1", "--engine", "rk4", "--record-every", "0"),
+     "--record-every"),
+], ids=["simulate-one-term", "bench-one-term", "too-many-terms", "two-samples",
+        "record-every-0"])
+def test_integer_options_are_named_when_refused(tmp_path, monkeypatch, capsys, argv, named):
+    monkeypatch.chdir(tmp_path)   # where a wrongly accepted run writes its CSV
+    rc, text, err = run(capsys, *argv)
+    assert rc == 1
+    assert err.startswith(f"error: {named}:") and "Traceback" not in err
+    assert text == "" and os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("argv", [("--help",), ("--version",), ("simulate", "--help")])
 def test_help_and_version_exit_0(capsys, argv):
     code, text, _ = run_exit(capsys, *argv)

@@ -11,8 +11,9 @@ import pytest
 from sas_transim import (MachineState, NumericalError, RaInputs,
                          SwingRhsParams, ValidationError, equilibrium_state,
                          estimate_hmin, estimate_ra, mode_periods)
-from sas_transim.ra import (_smallest_indicator_root, fleet_ra,
-                            ra_inputs_for_machine, system_ra)
+from sas_transim import adm, ra
+from sas_transim.ra import (_indicator_roots, fleet_ra, ra_inputs_for_machine,
+                            system_ra)
 from sas_transim.rk4 import IntegratorConfig, fault_on_bootstrap
 
 from test_adm import OMEGA0, table1_rhs
@@ -121,8 +122,7 @@ def test_indicator_root_matches_reference():
     draws = [NARROW_DIP] + [(float(a), float(b), float(t))
                             for (a, b), t in zip(signs * mags, targets)]
     counts = {"none": 0, "unique_positive": 0, "smallest_positive_of_many": 0}
-    for c1, c2, target in draws:
-        r_a, status = _smallest_indicator_root(c1, c2, target)
+    for (c1, c2, target), (r_a, status) in zip(draws, _indicator_roots(*zip(*draws))):
         roots = _indicator_crossings(c1, c2, target)
         counts[status] += 1
         if not roots:
@@ -135,8 +135,56 @@ def test_indicator_root_matches_reference():
         resid = abs(abs((a * r + b) * r * r) - t)
         assert resid <= 1e-14 * max(abs(a * r ** 3), abs(b * r * r), t)
     assert all(counts.values()), counts
-    assert _smallest_indicator_root(*NARROW_DIP)[1] == "smallest_positive_of_many"
+    assert _indicator_roots(*zip(NARROW_DIP))[0][1] == "smallest_positive_of_many"
     assert len(_indicator_crossings(*NARROW_DIP)) == 3
+
+
+@pytest.mark.parametrize("degree", [3, 4])
+def test_poly_roots_equal_numpy_roots(degree):
+    """Random cubics and quartics, with a zero leading coefficient, one and
+    two zero trailing coefficients, both, a constant and an all-zero row,
+    solved in one call: every row's roots are numpy.roots', bit for bit."""
+    rng = np.random.default_rng(11 + degree)
+    rows = rng.normal(size=(60, degree + 1)) * 10.0 ** rng.uniform(-3, 3, size=(60, 1))
+    rows[1, 0] = 0.0
+    rows[2, -1] = 0.0
+    rows[3, -2:] = 0.0
+    rows[4, 0] = rows[4, -1] = 0.0
+    rows[5, :-1] = 0.0
+    rows[6] = 0.0
+    rows[7, :2] = rows[7, -2:] = 0.0
+    got = ra._poly_roots(rows)
+    assert len(got) == len(rows) and got[6] == []
+    for row, roots in zip(rows, got):
+        want = np.sort(np.roots(row).astype(complex))
+        assert np.sort(np.array(roots, dtype=complex)).tobytes() == want.tobytes(), row
+
+
+def test_fleet_and_hmin_make_one_batched_derivation_each(ieee39_case, monkeypatch):
+    """A fleet is one pass of the series kernel, and a minimum inertia two:
+    the fit at 1 s and 2 s, and the nudge ladder. Counts, not times, so the
+    check is exact on a loaded host."""
+    calls = []
+    kernel = adm._nonlinearity_orders
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].shape)
+        return kernel(*args, **kwargs)
+
+    state, _ = fault_on_bootstrap(ieee39_case, IntegratorConfig(dt=1e-3))
+    monkeypatch.setattr(adm, "_nonlinearity_orders", counting)
+    fleet = fleet_ra(ieee39_case, state, 5.0)
+    assert calls == [(9, 3, 2, 7)]
+    for _, inp, _ in fleet:
+        calls.clear()
+        estimate_hmin(inp, 0.1)
+        assert 1 <= len(calls) <= 2, calls
+
+
+def test_fleet_ra_refuses_fewer_than_one_job(ieee9_case):
+    state = equilibrium_state(ieee9_case.generators)
+    with pytest.raises(ValidationError, match="jobs"):
+        fleet_ra(ieee9_case, state, 5.0, jobs=0)
 
 
 def test_ra_monotone_in_inertia():
@@ -336,6 +384,96 @@ def test_hmin_agrees_with_bisection_where_monotone(inp, target):
     lo, hi = _bisected_hmin(inp, target)
     hmin = estimate_hmin(inp, target)
     assert lo <= hmin <= hi * (1 + 1e-12)
+
+
+def _unbatched_third_term(inp, inertias):
+    """(c1, c2) lists, one entry per inertia, from one unbatched derivation
+    of the block-diagonal pairs."""
+    n = len(inertias)
+    y12 = cmath.rect(inp.y, inp.theta)
+    y = np.zeros((2 * n, 2 * n), dtype=complex)
+    for i in range(0, 2 * n, 2):
+        y[i:i + 2, i:i + 2] = [[inp.g, y12], [y12, 0.0]]
+    rhs = SwingRhsParams(h=[x for h in inertias for x in (h, math.inf)],
+                         d=[inp.d, 0.0] * n, pm=[inp.pm, 0.0] * n,
+                         e=[inp.e, inp.e_inf] * n, y=y, omega0=inp.omega0)
+    state = MachineState([inp.delta0_machine, inp.delta0_ref] * n,
+                         [inp.ddelta0_machine, inp.ddelta0_ref] * n)
+    third = adm.derive_window(rhs, state, 3).terms[2, 0::2]
+    return third[:, 4].tolist(), third[:, 3].tolist()
+
+
+def _numpy_roots_r_a(c1, c2, i_max):
+    """R_A from two numpy.roots calls and the same Newton polish."""
+    roots = sorted(float(r.real) for level in (i_max, -i_max)
+                   for r in np.roots([4.0 * c1, 3.0 * c2, 0.0, -level])
+                   if r.imag == 0.0 and 0.0 < r.real <= 10.0)
+    if not roots:
+        return math.inf
+    r = roots[0]
+    level = math.copysign(i_max, (4.0 * c1 * r + 3.0 * c2) * r * r)
+    for _ in range(2):
+        r -= ((4.0 * c1 * r + 3.0 * c2) * r * r - level) / ((12.0 * c1 * r + 6.0 * c2) * r)
+    return r
+
+
+def _sequential_hmin(inp, target_ra):
+    """The minimum-inertia search as one pair and one numpy.roots call at a
+    time: unbatched derivations, a lazy scan of the candidates and a nudge
+    loop of single accuracy-window checks. Returns (H_min, nudges)."""
+    i_max = inp.i_loa_max
+    (c1_1, c1_2), (c2_1, c2_2) = _unbatched_third_term(inp, [1.0, 2.0])
+    alpha1, beta1 = 4.0 * c1_2 - c1_1, 2.0 * c1_1 - 4.0 * c1_2
+    alpha2, beta2 = 4.0 * c2_2 - c2_1, 2.0 * c2_1 - 4.0 * c2_2
+    a3, a2, b3, b2 = 4.0 * alpha1, 3.0 * alpha2, 4.0 * beta1, 3.0 * beta2
+    kappa = a2 * b3 - a3 * b2
+    t_end = min(target_ra, 10.0)
+    candidates = []
+    for level in (i_max, -i_max):
+        quartic = [3.0 * kappa * a3, 2.0 * kappa * a2, 9.0 * level * b3 * b3,
+                   12.0 * level * b3 * b2, 4.0 * level * b2 * b2]
+        extrema = [r.real for r in np.roots(quartic)
+                   if abs(r.imag) <= 1e-6 * abs(r) and 0.0 < r.real < t_end]
+        for r in (t_end, *extrema):
+            candidates += ra._positive_u((b3 * r + b2) * r * r, (a3 * r + a2) * r * r, level)
+
+    def misses(u):
+        c1, c2 = alpha1 * u + beta1 * u * u, alpha2 * u + beta2 * u * u
+        return _numpy_roots_r_a(c1, c2, i_max) < target_ra
+
+    u_star = next((u for u in sorted(candidates)
+                   if u < 1.0 / 1e-2 and misses(u * (1.0 + 1e-9))), None)
+    h_min = 1e-2 if u_star is None else 1.0 / u_star
+    for nudges, h in enumerate(h_min * (1.0 + 1e-12) ** np.arange(9)):
+        (c1,), (c2,) = _unbatched_third_term(inp, [float(h)])
+        if _numpy_roots_r_a(c1, c2, i_max) >= target_ra:
+            return float(h), nudges
+    raise AssertionError("no rung reaches the target")
+
+
+def test_hmin_equals_the_sequential_search_on_screening_inputs():
+    """Every machine of the seed-1 screening variants, the benchmark's
+    inputs, where 43 of the 108 machines need one nudge: the batched search
+    returns exactly the float of the one-at-a-time search, and the fleet's
+    windows are those of unbatched single-pair checks."""
+    from test_bench_screening import _workloads
+    from sas_transim import netmodel
+    wl = _workloads()
+    inputs = wl.make_inputs("screening", 1)
+    base = netmodel.parse_case(inputs.text)
+    nudged = machines = 0
+    for inertias in inputs.variants:
+        case = netmodel.initialized_case(wl.with_inertias(base, inertias))
+        state, _ = fault_on_bootstrap(case, wl.BOOTSTRAP)
+        for bus, inp, res in fleet_ra(case, state, wl.I_LOA_MAX):
+            (c1,), (c2,) = _unbatched_third_term(inp, [inp.h])
+            assert (res.c1, res.c2) == (c1, c2), bus
+            assert res.r_a == _numpy_roots_r_a(c1, c2, inp.i_loa_max), bus
+            want, nudges = _sequential_hmin(inp, wl.TARGET_RA)
+            assert estimate_hmin(inp, wl.TARGET_RA) == want, bus
+            nudged += nudges > 0
+            machines += 1
+    assert (machines, nudged) == (108, 43)
 
 
 # ---------------------------------------------------------------------------
