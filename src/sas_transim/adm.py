@@ -99,6 +99,10 @@ class SwingRhsParams:
     self-conductance payment E_i^2 G_ii). An infinite inertia marks a node
     with prescribed drift: its acceleration is identically zero.
 
+    ``electrical_power`` and the series kernel both evaluate Pe as
+    S V + C U, with S and C the sines and cosines of delta and
+    (V, U) = ``coupling`` (S, C).
+
     Leading dimensions of ``y`` (..., K, K) and of ``h``, ``d``, ``pm`` and
     ``e`` (..., K) batch independent systems for :func:`derive_window`;
     ``electrical_power``, ``acceleration`` and the integrators take one
@@ -157,39 +161,27 @@ class SwingRhsParams:
         return out
 
     @cached_property
-    def _blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        """(Gc, Gs) with Gc_ij = E_i E_j G_ij and Gs_ij = E_i E_j B_ij;
-        contiguous, because ``electrical_power`` runs measurably slower on
-        strided blocks of ``coupling``."""
-        eey = self.e[..., :, None] * self.e[..., None, :]
-        gc = eey * self.y.real
-        gs = eey * self.y.imag
-        gc.setflags(write=False)
-        gs.setflags(write=False)
-        return gc, gs
-
-    @cached_property
     def coupling(self) -> np.ndarray:
-        """G = [[Gc, Gs], [-Gs, Gc]], a (2K, 2K) block matrix.
+        """G = [[Gc, Gs], [-Gs, Gc]], a (2K, 2K) block matrix with
+        Gc_ij = E_i E_j G_ij and Gs_ij = E_i E_j B_ij.
 
         It maps the stacked sines and cosines (S, C) of the machine angles to
         (V, U) with Pe = S V + C U.
         """
-        gc, gs = self._blocks
+        eey = self.e[..., :, None] * self.e[..., None, :]
         k = self.k
-        out = np.empty(gc.shape[:-2] + (2 * k, 2 * k))
-        out[..., :k, :k] = gc
-        out[..., :k, k:] = gs
-        out[..., k:, :k] = -gs
-        out[..., k:, k:] = gc
+        out = np.empty(eey.shape[:-2] + (2 * k, 2 * k))
+        out[..., :k, :k] = out[..., k:, k:] = eey * self.y.real
+        out[..., :k, k:] = eey * self.y.imag
+        out[..., k:, :k] = -out[..., :k, k:]
         out.setflags(write=False)
         return out
 
     def electrical_power(self, delta: np.ndarray) -> np.ndarray:
-        """Pe per machine at the given angle vector."""
-        gc, gs = self._blocks
-        dd = delta[:, None] - delta[None, :]
-        return (gc * np.cos(dd) + gs * np.sin(dd)).sum(axis=1)
+        """Pe per machine at the given angle vector: 2K sines and cosines
+        and one product with ``coupling``."""
+        sc = np.concatenate((np.sin(delta), np.cos(delta)))
+        return (sc * (self.coupling @ sc)).reshape(2, self.k).sum(axis=0)
 
     def acceleration(self, delta: np.ndarray, omega_dev: np.ndarray) -> np.ndarray:
         """d omega_dev / dt at the given state."""

@@ -129,10 +129,7 @@ class PowerSystemCase:
         return {b.id: i for i, b in enumerate(self.buses)}
 
     def generator_at(self, bus: int) -> GeneratorParams:
-        for g in self.generators:
-            if g.bus == bus:
-                return g
-        raise ValidationError(f"no generator at bus {bus}")
+        return self.generators[self.generator_position(bus)]
 
     def generator_position(self, bus: int) -> int:
         for i, g in enumerate(self.generators):

@@ -97,40 +97,31 @@ class RaResult:
 
 def _pair_rhs(items) -> SwingRhsParams:
     """Machine-versus-reference equivalents of ``items``, a list of
-    (RaInputs, inertias), as one batch with an item per entry.
+    (RaInputs, inertia), as one batch of K = 2 pairs, an item per entry.
 
-    Within an item, pair i holds the machine at node 2i, at the i-th
-    inertia, and its reference at node 2i + 1, an infinite-inertia node
-    that drifts at its initial angle rate. The item's network is block
-    diagonal, so its pairs do not couple and one derivation serves every
-    inertia. Every item needs the same number of inertias and omega0.
+    Each pair holds the machine at node 0, at the given inertia, and its
+    reference at node 1, an infinite-inertia node that drifts at its
+    initial angle rate. Every item needs the same omega0.
     """
-    n = len(items[0][1])
-    machine = np.arange(0, 2 * n, 2)
-    y = np.zeros((len(items), 2 * n, 2 * n), dtype=complex)
-    y[:, machine, machine] = [[inp.g] for inp, _ in items]
-    y[:, machine, machine + 1] = y[:, machine + 1, machine] = \
-        [[cmath.rect(inp.y, inp.theta)] for inp, _ in items]
+    y12 = [cmath.rect(inp.y, inp.theta) for inp, _ in items]
     return SwingRhsParams(
-        h=[[x for h in inertias for x in (h, math.inf)] for _, inertias in items],
-        d=[[inp.d, 0.0] * n for inp, _ in items],
-        pm=[[inp.pm, 0.0] * n for inp, _ in items],
-        e=[[inp.e, inp.e_inf] * n for inp, _ in items],
-        y=y,
+        h=[[h, math.inf] for _, h in items],
+        d=[[inp.d, 0.0] for inp, _ in items],
+        pm=[[inp.pm, 0.0] for inp, _ in items],
+        e=[[inp.e, inp.e_inf] for inp, _ in items],
+        y=[[[inp.g, y], [y, 0.0]] for (inp, _), y in zip(items, y12)],
         omega0=items[0][0].omega0,
     )
 
 
 def _third_term(items) -> tuple[np.ndarray, np.ndarray]:
     """(c1, c2), the t^4 and t^3 coefficients of the machine's third term,
-    each (items, inertias): one N = 3 derivation of the batch that
-    :func:`_pair_rhs` builds."""
-    n = len(items[0][1])
-    state0 = MachineState(
-        [[inp.delta0_machine, inp.delta0_ref] * n for inp, _ in items],
-        [[inp.ddelta0_machine, inp.ddelta0_ref] * n for inp, _ in items])
-    third = derive_window(_pair_rhs(items), state0, 3).terms[:, 2, 0::2]
-    return third[..., 4], third[..., 3]
+    one per item: one N = 3 derivation of the batch that :func:`_pair_rhs`
+    builds."""
+    state0 = MachineState([[inp.delta0_machine, inp.delta0_ref] for inp, _ in items],
+                          [[inp.ddelta0_machine, inp.ddelta0_ref] for inp, _ in items])
+    third = derive_window(_pair_rhs(items), state0, 3).terms[:, 2, 0]
+    return third[:, 4], third[:, 3]
 
 
 def _closed_form_c1_c2(inp: RaInputs) -> tuple[float, float]:
@@ -206,7 +197,7 @@ def _indicator_roots(c1, c2, targets) -> list[tuple[float, str]]:
 def _ra_results(inputs) -> list[RaResult]:
     """:func:`estimate_ra` of every entry of ``inputs``: one batched
     derivation and one root solve for all of them."""
-    c1s, c2s = (c[:, 0].tolist() for c in _third_term([(inp, [inp.h]) for inp in inputs]))
+    c1s, c2s = (c.tolist() for c in _third_term([(inp, inp.h) for inp in inputs]))
     roots = _indicator_roots(c1s, c2s, [inp.i_loa_max for inp in inputs])
     out = []
     for inp, c1, c2, (r_a, status) in zip(inputs, c1s, c2s, roots):
@@ -245,8 +236,10 @@ def estimate_hmin(inp: RaInputs, target_ra: float) -> float:
 
     An unbounded window (no indicator root) counts as reaching any target,
     and the value of ``inp.h`` is ignored. With u = 1/H the indicator is
-    g(R, u) = u p(R) + u^2 q(R); one derivation at u = 1 and u = 1/2 gives
-    the cubics p and q. H reaches the target T = min(target_ra, 10 s) while
+    g(R, u) = u p(R) + u^2 q(R); the pair at H = 1 s and at H = 2 s
+    (u = 1 and 1/2), two items of one batched derivation, gives the cubics
+    p and q, with (c1, c2) bit for bit those :func:`estimate_ra` derives at
+    those inertias. H reaches the target T = min(target_ra, 10 s) while
     max |g| over (0, T) stays below I_max, so the boundary values of u are
     where that maximum equals I_max, at R = T or at an interior extremum.
     The candidates are the positive roots u of
@@ -268,9 +261,7 @@ def estimate_hmin(inp: RaInputs, target_ra: float) -> float:
     if not (target_ra > 0 and math.isfinite(target_ra)):
         raise ValidationError(f"target_ra must be positive and finite, got {target_ra!r}")
     i_max = inp.i_loa_max
-    # One item of two pairs, not two items: the block-diagonal product is
-    # what fixes alpha and beta to the last bit.
-    (c1_1, c1_2), (c2_1, c2_2) = (c[0].tolist() for c in _third_term([(inp, [1.0, 2.0])]))
+    (c1_1, c1_2), (c2_1, c2_2) = (c.tolist() for c in _third_term([(inp, 1.0), (inp, 2.0)]))
     # c = alpha u + beta u^2, read off u = 1 and u = 1/2
     alpha1, beta1 = 4.0 * c1_2 - c1_1, 2.0 * c1_1 - 4.0 * c1_2
     alpha2, beta2 = 4.0 * c2_2 - c2_1, 2.0 * c2_1 - 4.0 * c2_2
@@ -306,7 +297,7 @@ def estimate_hmin(inp: RaInputs, target_ra: float) -> float:
             f"just below {1.0 / u_star:.6g}s miss it")
     h_min = _H_LO if u_star is None else 1.0 / u_star
     ladder = (h_min * (1.0 + 1e-12) ** np.arange(9)).tolist()
-    c1s, c2s = (c[:, 0].tolist() for c in _third_term([(inp, [h]) for h in ladder]))
+    c1s, c2s = (c.tolist() for c in _third_term([(inp, h) for h in ladder]))
     for h, (r_a, _) in zip(ladder, _indicator_roots(c1s, c2s, [i_max] * len(ladder))):
         if r_a >= target_ra:
             return h

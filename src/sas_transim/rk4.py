@@ -68,6 +68,7 @@ def integrate(rhs: SwingRhsParams, state0: MachineState, horizon: float,
     remainder = horizon - n_full * dt
     if remainder < 1e-12 * max(1.0, horizon):
         remainder = 0.0
+    n_steps = n_full + (remainder > 0.0)
 
     delta = state0.delta.copy()
     omega = state0.omega_dev.copy()
@@ -76,24 +77,15 @@ def integrate(rhs: SwingRhsParams, state0: MachineState, horizon: float,
     omegas = [omega.copy()]
     # overflow to inf inside a step is how divergence is detected below
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, n_full + 1):
-            delta, omega = _step(rhs, delta, omega, dt)
+        for step in range(1, n_steps + 1):
+            h, t = (dt, t0 + step * dt) if step <= n_full else (remainder, t0 + horizon)
+            delta, omega = _step(rhs, delta, omega, h)
             if not (np.isfinite(delta).all() and np.isfinite(omega).all()):
-                raise DivergenceError(
-                    f"integration diverged at t={t0 + step * dt:.6g}s",
-                    t=t0 + step * dt)
-            if step % cfg.record_every == 0 or (step == n_full and remainder == 0.0):
-                times.append(t0 + step * dt)
+                raise DivergenceError(f"integration diverged at t={t:.6g}s", t=t)
+            if step % cfg.record_every == 0 or step == n_steps:
+                times.append(t)
                 deltas.append(delta.copy())
                 omegas.append(omega.copy())
-        if remainder > 0.0:
-            delta, omega = _step(rhs, delta, omega, remainder)
-            if not (np.isfinite(delta).all() and np.isfinite(omega).all()):
-                raise DivergenceError(
-                    f"integration diverged at t={t0 + horizon:.6g}s", t=t0 + horizon)
-            times.append(t0 + horizon)
-            deltas.append(delta.copy())
-            omegas.append(omega.copy())
     return Trajectory(times=np.array(times), delta=np.array(deltas),
                       omega_dev=np.array(omegas), source="rk4")
 

@@ -236,6 +236,25 @@ def test_simulate_bus_reference_prints_absolute_angles(tmp_path, capsys):
     assert "final absolute angles" in text
 
 
+@pytest.mark.parametrize("case_name", ["smib", "ieee9", "ieee39"])
+def test_simulate_default_stays_within_the_bound_of_rk4(case_name, tmp_path, capsys):
+    """The default series run (N = 5, 0.4x the estimated accuracy window)
+    holds 0.05 rad of relative angle against RK4 at dt = 1e-4 over 3 s;
+    ieee39 at the acceptance check's minimum inertias. Measured: 6.6e-3,
+    2.3e-3 and 6.6e-3 rad."""
+    from test_acceptance import H_MIN_USED
+    from sas_transim.rk4 import compare
+    set_h = ([f"--set-h={bus}={h}" for bus, h in H_MIN_USED.items()]
+             if case_name == "ieee39" else [])
+    common = ["--horizon", "3", "--relative", *set_h]
+    assert run(capsys, "simulate", case_name, "--out", str(tmp_path / "sas.csv"),
+               *common)[0] == 0
+    assert run(capsys, "simulate", case_name, "--engine", "rk4", "--dt", "1e-4",
+               "--record-every", "10", "--out", str(tmp_path / "rk4.csv"), *common)[0] == 0
+    rel = (read_csv(str(tmp_path / f"{name}_rel.csv")) for name in ("rk4", "sas"))
+    assert compare(*rel).overall_max <= 0.05
+
+
 def test_simulate_default_window_from_estimator(tmp_path, capsys):
     """Omitting --window sizes windows from the estimated accuracy region."""
     out = tmp_path / "d.csv"
