@@ -51,7 +51,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import DivergenceError, ValidationError
+from .errors import DivergenceError, ValidationError, check_count
 from .netmodel import PowerSystemCase, initialized_case
 
 
@@ -99,8 +99,9 @@ class SwingRhsParams:
     self-conductance payment E_i^2 G_ii). An infinite inertia marks a node
     with prescribed drift: its acceleration is identically zero.
 
-    ``electrical_power`` and the series kernel both evaluate Pe as
-    S V + C U, with S and C the sines and cosines of delta and
+    ``electrical_power``, ``acceleration`` and the RK4 step loop evaluate
+    Pe as S V + C U through ``_evaluator``, and the series kernel does so
+    order by order, with S and C the sines and cosines of delta and
     (V, U) = ``coupling`` (S, C).
 
     Leading dimensions of ``y`` (..., K, K) and of ``h``, ``d``, ``pm`` and
@@ -177,15 +178,44 @@ class SwingRhsParams:
         out.setflags(write=False)
         return out
 
+    def _evaluator(self):
+        """The one pointwise evaluation of the swing right-hand side.
+
+        Returns ``evaluate(delta, omega_dev, out)``, which writes
+        d omega_dev / dt at the state into ``out`` (K,) and returns it; with
+        ``omega_dev`` None it writes Pe instead. Its scratch arrays are
+        allocated here, once, so a caller that keeps the function (the RK4
+        step loop) evaluates without allocating: 2K sines and cosines, one
+        product with ``coupling`` and Pe = S V + C U.
+        """
+        k = self.k
+        sc = np.empty(2 * k)
+        vu = np.empty(2 * k)
+        s, c, sv_cu, scratch = sc[:k], sc[k:], vu.reshape(2, k), vu[:k]
+        gain, pm, a, coupling = self.gain, self.pm, self.a, self.coupling
+
+        def evaluate(delta, omega_dev, out):
+            np.sin(delta, out=s)
+            np.cos(delta, out=c)
+            np.dot(coupling, sc, out=vu)
+            np.multiply(sc, vu, out=vu)
+            np.add.reduce(sv_cu, axis=0, out=out)
+            if omega_dev is None:
+                return out
+            np.subtract(pm, out, out=out)
+            np.multiply(gain, out, out=out)
+            np.multiply(a, omega_dev, out=scratch)
+            return np.subtract(out, scratch, out=out)
+
+        return evaluate
+
     def electrical_power(self, delta: np.ndarray) -> np.ndarray:
-        """Pe per machine at the given angle vector: 2K sines and cosines
-        and one product with ``coupling``."""
-        sc = np.concatenate((np.sin(delta), np.cos(delta)))
-        return (sc * (self.coupling @ sc)).reshape(2, self.k).sum(axis=0)
+        """Pe per machine at the given angle vector."""
+        return self._evaluator()(delta, None, np.empty(self.k))
 
     def acceleration(self, delta: np.ndarray, omega_dev: np.ndarray) -> np.ndarray:
         """d omega_dev / dt at the given state."""
-        return self.gain * (self.pm - self.electrical_power(delta)) - self.a * omega_dev
+        return self._evaluator()(delta, omega_dev, np.empty(self.k))
 
     @classmethod
     def from_case(cls, case: PowerSystemCase, epoch: str) -> "SwingRhsParams":
@@ -352,8 +382,7 @@ def derive_window(rhs: SwingRhsParams, state0: MachineState, n_terms: int, *,
     and ``state0`` (same leading dimensions) give a window whose arrays carry
     those dimensions first; each system's terms are those of its own call.
     """
-    if n_terms < 2:
-        raise ValidationError("need at least two terms (initial angle and speed)")
+    check_count(n_terms, "n_terms", 2)   # the initial angle and speed terms
     if state0.delta.shape != rhs.h.shape:
         raise ValidationError("state size does not match machine count")
     p = 2 * n_terms + 1
@@ -432,7 +461,8 @@ def adomian_terms(rhs: SwingRhsParams, terms, order: int) -> np.ndarray:
     x = np.array(terms, dtype=float)
     if x.ndim != 3:
         raise ValidationError("terms must be (orders, machines, degree+1)")
-    if order < 0 or order >= x.shape[0]:
+    check_count(order, "order", 0)
+    if order >= x.shape[0]:
         raise ValidationError(
             f"order {order} exceeds stored lambda orders (0..{x.shape[0] - 1})")
     if np.any(x[0, :, 1:] != 0.0):

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the count check that
+raises one."""
+
+import numbers
 
 
 class ValidationError(ValueError):
@@ -24,3 +27,17 @@ class DivergenceError(NumericalError):
         super().__init__(message)
         self.t = t
         self.machine = machine
+
+
+def check_count(value, name: str, least: int) -> None:
+    """Refuse a count ``name`` that is not an integer of at least ``least``.
+
+    Floats are refused even when integral: a count sizes arrays and loops,
+    so 2.5 or nan must not be rounded or compared into some other meaning.
+    """
+    # an exact int first: derive_window checks every window the driver derives
+    if not (type(value) is int
+            or isinstance(value, numbers.Integral) and not isinstance(value, bool)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValidationError(f"{name} must be at least {least}, got {value}")

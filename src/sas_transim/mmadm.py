@@ -18,7 +18,7 @@ import numpy as np
 from . import adm
 from .adm import MachineState, SasWindow, SwingRhsParams, derive_window
 from .adm import eval_window  # noqa: F401  (re-exported with the other window evaluators)
-from .errors import DivergenceError, ValidationError
+from .errors import DivergenceError, ValidationError, check_count
 
 # Windows one simulation may derive; a horizon that could need more (at the
 # shortest window an adaptive cut leaves, t_init/100) is refused up front.
@@ -53,15 +53,13 @@ class WindowConfig:
         if not (self.i_loa_max > 0 and math.isfinite(self.i_loa_max)):
             raise ValidationError(
                 f"i_loa_max must be positive and finite, got {self.i_loa_max!r}")
+        check_count(self.n_terms, "n_terms", 2)
+        check_count(self.samples_per_window, "samples_per_window", 3)
         if self.adaptive and self.n_terms < 3:
             raise ValidationError("the accuracy indicator needs at least 3 terms")
-        if self.n_terms < 2:
-            raise ValidationError("need at least 2 terms")
         if self.n_terms > MAX_N_TERMS:
             raise ValidationError(
                 f"n_terms {self.n_terms} is more than MAX_N_TERMS = {MAX_N_TERMS}")
-        if self.samples_per_window < 3:
-            raise ValidationError("need at least 3 samples per window")
 
 
 @dataclass(frozen=True)

@@ -70,6 +70,12 @@ def test_sin_cos_of_zero_series():
     assert c.tolist() == [1.0]
 
 
+@pytest.mark.parametrize("value", [3.0, 3.5, math.nan, 1])
+def test_derive_window_refuses_a_bad_term_count(value):
+    with pytest.raises(ValidationError, match="n_terms"):
+        derive_window(table1_rhs(), table1_state(), value)
+
+
 def test_sin_cos_rejects_non_1d_input():
     with pytest.raises(ValidationError, match="one-dimensional"):
         sin_cos_of_series([[0.0, 1.0]])
@@ -227,6 +233,9 @@ def test_adomian_terms_rejects_missing_orders():
         adomian_terms(rhs, np.zeros((2, 2, 3)), 2)
     with pytest.raises(ValidationError, match="orders, machines"):
         adomian_terms(rhs, np.zeros((2, 3)), 0)
+    for order in (1.5, 1.0, -1):
+        with pytest.raises(ValidationError, match="order"):
+            adomian_terms(rhs, np.zeros((2, 2, 3)), order)
 
 
 def test_lambda_series_requires_constant_order0():

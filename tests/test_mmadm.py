@@ -29,6 +29,19 @@ def test_config_validation():
         WindowConfig(t_init=0.1, handoff_mode="two_point")
 
 
+@pytest.mark.parametrize("field", ["n_terms", "samples_per_window"])
+@pytest.mark.parametrize("value", [3.5, 4.0, math.nan, math.inf, "4"])
+def test_config_refuses_a_non_integer_count(field, value):
+    with pytest.raises(ValidationError, match=field):
+        WindowConfig(t_init=0.1, **{field: value})
+
+
+def test_config_accepts_numpy_integer_counts():
+    cfg = WindowConfig(t_init=0.1, n_terms=np.int64(4), samples_per_window=np.int32(5))
+    traj = simulate_sas(table1_rhs(), table1_state(), 0.2, cfg)
+    assert traj.times.size == 1 + 2 * 4
+
+
 @pytest.mark.parametrize("value", [math.inf, math.nan])
 def test_config_requires_finite_iloa_max(value):
     with pytest.raises(ValidationError, match="i_loa_max"):

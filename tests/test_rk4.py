@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from sas_transim import (DivergenceError, EventScript, MachineState,
                          SwingRhsParams, Trajectory, ValidationError,
@@ -109,12 +110,38 @@ def test_integrate_reference_frame_invariance():
 
 
 def test_integrate_divergence_reports_time():
-    """Only actual float overflow counts as divergence."""
+    """Only actual float overflow counts as divergence. The first step takes
+    machine 0's angle past the float range; the error names the step's end
+    time and the machine."""
     rhs = table1_rhs(d=0.0)
     st = MachineState(np.array([1e308, 0.0]), np.array([1e308, 0.0]))
-    with pytest.raises(DivergenceError) as err:
+    with pytest.raises(DivergenceError, match=r"t=0\.05s \(machine 0\)") as err:
         integrate(rhs, st, 1.0, IntegratorConfig(dt=0.05))
-    assert err.value.t is not None
+    assert err.value.t == 0.05
+    assert err.value.machine == 0
+
+
+def test_integrate_divergence_names_the_first_non_finite_machine():
+    """A speed that overflows counts like an angle: machine 1 of three."""
+    y = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]) * 1j
+    rhs = SwingRhsParams(h=np.full(3, 4.0), d=np.zeros(3), pm=np.zeros(3),
+                         e=np.ones(3), y=y, omega0=OMEGA0)
+    st = MachineState(np.zeros(3), np.array([0.0, 1e308, 0.0]))
+    with pytest.raises(DivergenceError) as err:
+        integrate(rhs, st, 1.0, IntegratorConfig(dt=0.1))
+    assert err.value.machine == 1
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, math.nan, math.inf, "2", True])
+def test_integrator_config_refuses_a_non_integer_record_every(value):
+    with pytest.raises(ValidationError, match="record_every"):
+        IntegratorConfig(record_every=value)
+
+
+@pytest.mark.parametrize("value", [0, -3])
+def test_integrator_config_refuses_record_every_below_one(value):
+    with pytest.raises(ValidationError, match="record_every"):
+        IntegratorConfig(record_every=value)
 
 
 def test_unbounded_growth_is_not_an_error():
@@ -123,6 +150,133 @@ def test_unbounded_growth_is_not_an_error():
     st = MachineState(np.array([1.1429, 0.0]), np.array([8.0, 0.0]))
     traj = integrate(rhs, st, 1.5, IntegratorConfig(dt=1e-3, record_every=100))
     assert traj.delta[-1, 0] > 2 * math.pi
+
+
+# ---------------------------------------------------------------------------
+# The in-place step loop against the allocating loop it replaced
+
+
+def allocating_power(rhs, delta):
+    sc = np.concatenate((np.sin(delta), np.cos(delta)))
+    return (sc * (rhs.coupling @ sc)).reshape(2, rhs.k).sum(axis=0)
+
+
+def allocating_acceleration(rhs, delta, omega_dev):
+    return rhs.gain * (rhs.pm - allocating_power(rhs, delta)) - rhs.a * omega_dev
+
+
+def allocating_step(rhs, delta, omega, dt):
+    k1d = omega
+    k1w = allocating_acceleration(rhs, delta, omega)
+    k2d = omega + 0.5 * dt * k1w
+    k2w = allocating_acceleration(rhs, delta + 0.5 * dt * k1d, k2d)
+    k3d = omega + 0.5 * dt * k2w
+    k3w = allocating_acceleration(rhs, delta + 0.5 * dt * k2d, k3d)
+    k4d = omega + dt * k3w
+    k4w = allocating_acceleration(rhs, delta + dt * k3d, k4d)
+    delta = delta + (dt / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+    omega = omega + (dt / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+    return delta, omega
+
+
+def allocating_integrate(rhs, state0, horizon, cfg, t0=0.0):
+    """The step loop ``integrate`` ran before it stepped in place: a fresh
+    array per operation and a list append per sample."""
+    dt = cfg.dt
+    n_full = int(math.floor(horizon / dt + 1e-9))
+    remainder = horizon - n_full * dt
+    if remainder < 1e-12 * max(1.0, horizon):
+        remainder = 0.0
+    n_steps = n_full + (remainder > 0.0)
+    delta = state0.delta.copy()
+    omega = state0.omega_dev.copy()
+    times, deltas, omegas = [t0], [delta.copy()], [omega.copy()]
+    for step in range(1, n_steps + 1):
+        h, t = (dt, t0 + step * dt) if step <= n_full else (remainder, t0 + horizon)
+        delta, omega = allocating_step(rhs, delta, omega, h)
+        if step % cfg.record_every == 0 or step == n_steps:
+            times.append(t)
+            deltas.append(delta.copy())
+            omegas.append(omega.copy())
+    return np.array(times), np.array(deltas), np.array(omegas)
+
+
+def assert_same_bytes(traj, times, delta, omega):
+    assert traj.times.tobytes() == times.tobytes()
+    assert traj.delta.tobytes() == delta.tobytes()
+    assert traj.omega_dev.tobytes() == omega.tobytes()
+
+
+def faulted(case):
+    if case.events is None:   # smib: a short bolted fault at its bus 2
+        case = replace(case, events=EventScript(fault_bus=2, t_clear=0.05))
+    return case
+
+
+@pytest.mark.parametrize("case_name", ["smib_case", "ieee9_case", "ieee39_case"])
+def test_in_place_loop_reproduces_the_allocating_loop_bytes(request, case_name):
+    """Bootstrap and post-fault runs are byte for byte those of the
+    allocating loop: 0.5 s is 500 whole 1 ms steps, or 71 steps of 7 ms and
+    a shortened last one; samples every step, every 7th and only the end."""
+    case = faulted(request.getfixturevalue(case_name))
+    ev = case.events
+    state, boot = fault_on_bootstrap(case)
+    rhs_fault = SwingRhsParams.from_case(case, "fault_on")
+    want = allocating_integrate(rhs_fault, equilibrium_state(case.generators),
+                                ev.t_clear - ev.t_fault, IntegratorConfig(), ev.t_fault)
+    assert_same_bytes(boot, *want)
+    rhs = SwingRhsParams.from_case(case, "post_fault")
+    for dt in (1e-3, 7e-3):
+        for every in (1, 7, 10 ** 9):
+            cfg = IntegratorConfig(dt=dt, record_every=every)
+            traj = integrate(rhs, state, 0.5, cfg, t0=ev.t_clear)
+            assert_same_bytes(traj, *allocating_integrate(rhs, state, 0.5, cfg, ev.t_clear))
+
+
+@pytest.mark.parametrize("case_name", ["smib_case", "ieee9_case", "ieee39_case"])
+def test_acceleration_and_power_reproduce_the_allocating_formula(request, case_name):
+    case = request.getfixturevalue(case_name)
+    rhs = SwingRhsParams.from_case(case, "post_fault")
+    eq = equilibrium_state(case.generators)
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        delta = eq.delta + rng.normal(0.0, 1.0, rhs.k)
+        omega = rng.normal(0.0, 3.0, rhs.k)
+        want = allocating_acceleration(rhs, delta, omega)
+        assert rhs.acceleration(delta, omega).tobytes() == want.tobytes()
+        want = allocating_power(rhs, delta)
+        assert rhs.electrical_power(delta).tobytes() == want.tobytes()
+
+
+def test_power_of_a_decoupled_machine_keeps_the_allocating_zero():
+    """With no coupling, S V and C U are both -0.0 in the third quadrant;
+    the row sum starts from +0.0, as the allocating formula's did."""
+    rhs = SwingRhsParams(h=np.array([3.0]), d=np.zeros(1), pm=np.zeros(1),
+                         e=np.ones(1), y=np.zeros((1, 1)), omega0=OMEGA0)
+    delta = np.array([-2.5])
+    assert rhs.electrical_power(delta).tobytes() == allocating_power(rhs, delta).tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(dt=strategies.floats(2e-3, 0.1), horizon=strategies.floats(1e-3, 1.0),
+       every=strategies.integers(1, 60), t0=strategies.sampled_from([0.0, 0.1, 2.5]))
+def test_integrate_records_the_start_every_nth_step_and_the_end(dt, horizon, every, t0):
+    """Samples are the start, every ``record_every``-th step and the final
+    point, each equal to the run that records every step. That run's times
+    are t0 + n dt, then t0 + horizon after a last step of at most dt."""
+    rhs, state = table1_rhs(), table1_state()   # smib against a fixed node
+    every_step = integrate(rhs, state, horizon, IntegratorConfig(dt=dt), t0=t0)
+    traj = integrate(rhs, state, horizon, IntegratorConfig(dt=dt, record_every=every), t0=t0)
+    n_steps = every_step.times.size - 1
+    picked = list(range(0, n_steps + 1, every))
+    if picked[-1] != n_steps:
+        picked.append(n_steps)
+    assert_same_bytes(traj, every_step.times[picked], every_step.delta[picked],
+                      every_step.omega_dev[picked])
+    assert every_step.times[:-1].tobytes() == (t0 + np.arange(n_steps) * dt).tobytes()
+    assert every_step.times[-1] == t0 + horizon
+    assert 0 < every_step.times[-1] - every_step.times[-2] <= dt * (1 + 1e-9)
+    assert (np.diff(traj.times) > 0).all()
 
 
 # ---------------------------------------------------------------------------
