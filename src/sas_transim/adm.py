@@ -34,9 +34,11 @@ lambda order n works on q_n = min(2n + 1, p) coefficients of the p = 2N + 1
 an N-term window carries. Each sum of products is one matmul of outer
 products, truncated once to q_n coefficients, so lambda order n of Pe
 costs O(n K q_n^2 + K q_n^3 + K^2 q_n) for K machines. No symbolic algebra
-is involved, and no truncation drops a nonzero coefficient. The same
-recurrence for one machine with constant orders gives the t-series of sin
-and cos of a polynomial.
+is involved, and no truncation drops a nonzero coefficient.
+
+A window is its terms and its length. Its first read stacks the term sum
+and the derivatives of the sum and of the last term into one block, and
+every evaluation is one range-checked Horner pass over rows of that block.
 
 Everything here is pure and operates on immutable values; per-machine work
 inside one lambda order is data-parallel (vectorized over the machine axis).
@@ -47,7 +49,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import islice
 
 import numpy as np
 
@@ -283,14 +284,11 @@ def _index_factors(p: int) -> tuple[np.ndarray, np.ndarray]:
     return k, kk
 
 
-def _deriv_coeffs(c: np.ndarray) -> np.ndarray:
-    return c[..., 1:] * _index_factors(c.shape[-1])[0]
-
-
 def _polyval(c: np.ndarray, t) -> np.ndarray:
     acc = c[..., -1] + np.zeros_like(np.asarray(t, dtype=float))
     for k in range(c.shape[-1] - 2, -1, -1):
-        acc = acc * t + c[..., k]
+        acc *= t   # in place: the same products and sums, no temporaries
+        acc += c[..., k]
     return acc
 
 
@@ -349,26 +347,39 @@ def _nonlinearity_orders(rhs: SwingRhsParams, x: np.ndarray, widths=None):
 
 @dataclass(frozen=True)
 class SasWindow:
-    """N polynomial terms per machine, their sum and derivatives, valid on
-    [t_start, t_start + T] in local time.
+    """N polynomial terms per machine, valid on [0, T] in window-local time.
 
-    ``terms`` has shape (N, K, degree+1), after any batch dimensions;
-    ``sum_coeffs`` is the coefficient sum, ``sum_deriv`` its derivative and
-    ``last_term_deriv`` the derivative of the highest-order term (the
-    loss-of-accuracy probe).
+    ``terms`` has shape (N, K, degree+1), after any batch dimensions. Every
+    evaluation reads rows of ``_block``, derived from the terms on first
+    read: the term sum, its derivative and the derivative of the
+    highest-order term (the loss-of-accuracy probe), stacked as
+    (3, ..., K, degree+1). Each derivative's top coefficient is a zero,
+    which leaves every Horner step at t >= 0 bit for bit. ``sum_coeffs`` is
+    row 0.
     """
 
-    t_start: float
     T: float
-    n_terms: int
     terms: np.ndarray
-    sum_coeffs: np.ndarray
-    sum_deriv: np.ndarray
-    last_term_deriv: np.ndarray
 
     @property
-    def k(self) -> int:
-        return self.terms.shape[-2]
+    def _block(self) -> np.ndarray:
+        # Cached by hand: before Python 3.12, functools.cached_property
+        # takes a lock on each first read, about 1.5 us of a ~100 us window.
+        block = self.__dict__.get("_block_value")
+        if block is None:
+            x = self.terms
+            ks = _index_factors(x.shape[-1])[0]
+            block = np.zeros((3,) + x.shape[:-3] + x.shape[-2:])
+            block[0] = x.sum(axis=-3)
+            np.multiply(block[0, ..., 1:], ks, out=block[1, ..., :-1])
+            np.multiply(x[..., -1, :, 1:], ks, out=block[2, ..., :-1])
+            block.setflags(write=False)
+            self.__dict__["_block_value"] = block
+        return block
+
+    @property
+    def sum_coeffs(self) -> np.ndarray:
+        return self._block[0]
 
 
 def derive_window(rhs: SwingRhsParams, state0: MachineState, n_terms: int, *,
@@ -405,69 +416,25 @@ def derive_window(rhs: SwingRhsParams, state0: MachineState, n_terms: int, *,
         order, machine = (int(i) for i in np.argwhere(~np.isfinite(x))[0][-3:-1])
         raise DivergenceError(
             f"non-finite series coefficient at term order {order}, "
-            f"machine {machine}", t=t_start, machine=machine)
-    total = x.sum(axis=-3)
-    for arr in (x, total):
-        arr.setflags(write=False)
-    sum_deriv = _deriv_coeffs(total)
-    last_deriv = _deriv_coeffs(x[..., -1, :, :])
-    sum_deriv.setflags(write=False)
-    last_deriv.setflags(write=False)
-    return SasWindow(t_start=t_start, T=window, n_terms=n_terms, terms=x,
-                     sum_coeffs=total, sum_deriv=sum_deriv,
-                     last_term_deriv=last_deriv)
+            f"machine {machine}, in the window from t={t_start:.6g}s",
+            t=t_start, machine=machine)
+    x.setflags(write=False)
+    return SasWindow(T=window, terms=x)
+
+
+def _evaluate(w: SasWindow, t, rows: slice, *, cut: bool = False) -> np.ndarray:
+    """Rows ``rows`` of ``w``'s evaluation block at window-local time ``t``,
+    a scalar or an array of times, in one Horner pass. Every time must lie
+    in [0, T], or in (0, T] for the handoff ``cut``, with 1e-12 s of slack
+    at a closed end; the check runs on Python floats, a third of numpy's cost.
+    """
+    ts = t.ravel().tolist() if isinstance(t, np.ndarray) else [t]
+    if not all((0 < s if cut else -1e-12 <= s) and s <= w.T + 1e-12 for s in ts):
+        name, start = ("t_cut", "(0") if cut else ("t_local", "window [0")
+        raise ValidationError(f"{name}={t} outside {start}, {w.T}]")
+    return _polyval(w._block[rows], t)
 
 
 def eval_window(w: SasWindow, t_local: float) -> MachineState:
     """Evaluate angles and speeds at a window-local time (Horner)."""
-    if not (-1e-12 <= t_local <= w.T + 1e-12):
-        raise ValidationError(f"t_local={t_local} outside window [0, {w.T}]")
-    return MachineState(_polyval(w.sum_coeffs, t_local),
-                        _polyval(w.sum_deriv, t_local))
-
-
-# ---------------------------------------------------------------------------
-# Stand-alone series of the nonlinearity (shares the window engine kernels)
-
-
-def sin_cos_of_series(coeffs) -> tuple[np.ndarray, np.ndarray]:
-    """Sine and cosine of a polynomial, exact to the polynomial's degree.
-
-    ``coeffs`` ascend in t; both results have the same length. This is the
-    one-machine case of the lambda recurrence: taking the t-coefficients as
-    constant lambda orders, the lambda orders of sin and cos are their
-    t-coefficients.
-    """
-    u = np.array(coeffs, dtype=float)
-    if u.ndim != 1:
-        raise ValidationError("series coefficients must be one-dimensional")
-    n = u.size
-    x = u.reshape(n, 1, 1)
-    sc = np.zeros((2, 1, 1, n))
-    for m in range(n):
-        _sin_cos_order(sc, x, m, 1)
-    return sc[0, 0, 0], sc[1, 0, 0]
-
-
-def adomian_terms(rhs: SwingRhsParams, terms, order: int) -> np.ndarray:
-    """Adomian polynomials A_{i, order} of the swing nonlinearity, (K, p).
-
-    ``terms`` (orders, K, p) holds the decomposition terms by lambda order,
-    as a window's ``terms`` does; order zero must be constant in t. The
-    nonlinearity is composed through their lambda series, which equals the
-    classical derivative definition. The terms must cover lambda orders
-    0..order.
-    """
-    x = np.array(terms, dtype=float)
-    if x.ndim != 3:
-        raise ValidationError("terms must be (orders, machines, degree+1)")
-    check_count(order, "order", 0)
-    if order >= x.shape[0]:
-        raise ValidationError(
-            f"order {order} exceeds stored lambda orders (0..{x.shape[0] - 1})")
-    if np.any(x[0, :, 1:] != 0.0):
-        raise ValidationError("order-0 terms must be constant series")
-    if x.shape[1] != rhs.k:
-        raise ValidationError("machine count mismatch")
-    # Arbitrary terms reach any degree: the full width.
-    return next(islice(_nonlinearity_orders(rhs, x), order, None))
+    return MachineState(*_evaluate(w, t_local, slice(2)))

@@ -137,8 +137,8 @@ def _check_counts(args, *dests):
 
 def _default_window(case, state, args, reference=None):
     """0.4x the system accuracy window at ``state``, at most the horizon: the
-    fraction at which simulate's default N = 5 holds 0.05 rad on the shipped
-    cases (0.8x, at N = 3 or 5, does not)."""
+    fraction at which simulate's default N = 5 holds 0.05 rad at the acceptance
+    check's minimum inertias (0.8x, at N = 3 or 5, does not)."""
     est = 0.4 * system_ra(fleet_ra(case, state, args.iloa_max, reference=reference))
     return min(est, args.horizon)
 
@@ -339,6 +339,8 @@ def cmd_bench(args) -> int:
     traj = simulate_sas(rhs, state, args.horizon, cfg, t0=t_start)
     sas_s = time.perf_counter() - t0
     windows = traj.window_boundaries.size
+    if windows == 0:
+        raise ValidationError(f"--horizon: {args.horizon!r} s covers no window")
 
     rk_cfg = IntegratorConfig(dt=args.dt, record_every=50)
     t0 = time.perf_counter()

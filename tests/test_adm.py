@@ -6,6 +6,7 @@ series expansion as a symbolic cross-check of the lambda-composition engine.
 """
 
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ import sympy as sp
 
 from sas_transim import adm
 from sas_transim import (DivergenceError, MachineState, SwingRhsParams,
-                         ValidationError, adomian_terms, derive_window,
-                         eval_window, equilibrium_state, sin_cos_of_series)
+                         ValidationError, derive_window, eval_window,
+                         equilibrium_state)
 from sas_transim.rk4 import IntegratorConfig, integrate
 
 OMEGA0 = 377.0
@@ -36,6 +37,27 @@ def table1_rhs(d=1.0):
 
 def table1_state():
     return MachineState(np.array([1.0472 + 0.0957, 0.0]), np.array([3.7639, 0.0]))
+
+
+def sin_cos_of_series(coeffs):
+    """Sine and cosine of a polynomial (ascending in t), exact to its
+    degree: the one-machine lambda recurrence, taking the t-coefficients as
+    constant lambda orders, whose lambda orders are then the t-coefficients
+    of sin and cos."""
+    u = np.array(coeffs, dtype=float)
+    x = u.reshape(u.size, 1, 1)
+    sc = np.zeros((2, 1, 1, u.size))
+    for m in range(u.size):
+        adm._sin_cos_order(sc, x, m, 1)
+    return sc[0, 0, 0], sc[1, 0, 0]
+
+
+def adomian_terms(rhs, terms, order):
+    """A_order of the swing nonlinearity, (K, p), along ``terms`` (orders,
+    K, p) by lambda order, at the full width (arbitrary terms reach any
+    degree)."""
+    x = np.array(terms, dtype=float)
+    return next(islice(adm._nonlinearity_orders(rhs, x), order, None))
 
 
 # ---------------------------------------------------------------------------
@@ -74,11 +96,6 @@ def test_sin_cos_of_zero_series():
 def test_derive_window_refuses_a_bad_term_count(value):
     with pytest.raises(ValidationError, match="n_terms"):
         derive_window(table1_rhs(), table1_state(), value)
-
-
-def test_sin_cos_rejects_non_1d_input():
-    with pytest.raises(ValidationError, match="one-dimensional"):
-        sin_cos_of_series([[0.0, 1.0]])
 
 
 def test_sin_cos_maclaurin():
@@ -212,8 +229,9 @@ def test_adomian_terms_match_sympy_composition():
 
 
 def test_adomian_terms_public_entry_at_table_state():
-    """The standalone extraction returns A_0 = f(x_0) as a constant series
-    and A_1 consistent with x_1 f'(x_0) for the published operating point."""
+    """The nonlinearity orders of a window's own terms give A_0 = f(x_0) as a
+    constant series and A_1 consistent with x_1 f'(x_0) for the published
+    operating point."""
     rhs = table1_rhs()
     st = table1_state()
     w = derive_window(rhs, st, 3)
@@ -225,25 +243,6 @@ def test_adomian_terms_public_entry_at_table_state():
     fprime = -(OMEGA0 / 6.0) * 1.7 * math.cos(1.0472 + 0.0957)
     x1 = w.terms[1, 0]
     assert np.allclose(a1, fprime * x1, rtol=1e-12, atol=1e-12)
-
-
-def test_adomian_terms_rejects_missing_orders():
-    rhs = table1_rhs()
-    with pytest.raises(ValidationError, match="exceeds"):
-        adomian_terms(rhs, np.zeros((2, 2, 3)), 2)
-    with pytest.raises(ValidationError, match="orders, machines"):
-        adomian_terms(rhs, np.zeros((2, 3)), 0)
-    for order in (1.5, 1.0, -1):
-        with pytest.raises(ValidationError, match="order"):
-            adomian_terms(rhs, np.zeros((2, 2, 3)), order)
-
-
-def test_lambda_series_requires_constant_order0():
-    """adomian_terms refuses terms whose order 0 varies in t."""
-    bad = np.zeros((2, 2, 3))
-    bad[0, 0, 1] = 1.0
-    with pytest.raises(ValidationError, match="constant"):
-        adomian_terms(table1_rhs(), bad, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +344,10 @@ def test_window_third_term_matches_drifting_reference_closed_form():
 def test_window_divergence_error_names_machine():
     rhs = table1_rhs()
     huge = MachineState(np.array([0.0, 0.0]), np.array([1e200, 0.0]))
-    with pytest.raises(DivergenceError) as err:
-        derive_window(rhs, huge, 6)
+    with pytest.raises(DivergenceError, match=r"machine 0, in the window from t=1\.25s") as err:
+        derive_window(rhs, huge, 6, t_start=1.25)
     assert err.value.machine == 0
+    assert err.value.t == 1.25
 
 
 def _random_pairs(rng, b):
@@ -393,8 +393,8 @@ def test_batched_window_items_equal_their_own_windows(batch, n_terms, request):
             SwingRhsParams(h=rhs.h[b], d=rhs.d[b], pm=rhs.pm[b], e=rhs.e[b],
                            y=rhs.y[b], omega0=rhs.omega0),
             MachineState(state.delta[b], state.omega_dev[b]), n_terms)
-        for name in ("terms", "sum_coeffs", "sum_deriv", "last_term_deriv"):
-            assert getattr(w, name)[b].tobytes() == getattr(one, name).tobytes(), (b, name)
+        assert w.terms[b].tobytes() == one.terms.tobytes(), b
+        assert w._block[:, b].tobytes() == one._block.tobytes(), b
 
 
 def test_batched_window_divergence_names_machine():
@@ -419,6 +419,8 @@ def test_eval_window_range_check():
         eval_window(w, 0.3)
     with pytest.raises(ValidationError):
         eval_window(w, -0.1)
+    with pytest.raises(ValidationError):
+        eval_window(w, math.nan)
 
 
 def test_eval_window_horner_matches_monomials():

@@ -319,8 +319,9 @@ TRAJ_CSV = "t,delta_1,delta_2,omega_1,omega_2\n0,0.1,0.2,0,0\n0.1,0.2,0.3,1,1\n"
      "line 3"),
     (("compare", "{ok}", "{bad}"), b"t,delta_1,delta_2,omega_1,omega_2\n0,\xff,0.2,0,0\n",
      "not UTF-8"),
+    (("compare", "{bad}", "{bad}"), b"t\n0\n1\n", "no machine columns"),
 ], ids=["missing-csv", "case-is-dir", "out-dir-missing", "case-not-utf8",
-        "csv-bad-cell", "csv-ragged-row", "csv-not-utf8"])
+        "csv-bad-cell", "csv-ragged-row", "csv-not-utf8", "csv-no-machines"])
 def test_unreadable_input_exits_1(tmp_path, capsys, argv, content, named):
     """Missing, unreadable or malformed files are input errors that name
     what is wrong, never tracebacks."""
@@ -465,6 +466,16 @@ def test_bench_ratio_uses_the_mean_simulated_window(capsys):
     assert report["windows"] == 2
     assert report["t_over_tau"] == pytest.approx(
         0.4 / report["windows"] / report["online_eval_s"], rel=1e-12)
+
+
+def test_bench_refuses_a_horizon_that_covers_no_window(capsys):
+    """A horizon within the driver's 1e-12 s end tolerance simulates no
+    window, so there is no time per window to report."""
+    rc, text, err = run(capsys, "bench", "smib", "--horizon", "1e-13",
+                        "--window", "0.1")
+    assert rc == 1
+    assert "--horizon" in err and "Traceback" not in err
+    assert text == ""
 
 
 def test_bench_single_window(capsys):

@@ -6,12 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from sas_transim import (DivergenceError, MachineState, Trajectory,
-                         ValidationError, WindowConfig, derive_window,
-                         eval_window, handoff_state, i_loa, simulate_sas)
+from sas_transim import (DivergenceError, MachineState, SwingRhsParams,
+                         Trajectory, ValidationError, WindowConfig,
+                         derive_window, eval_window, handoff_state, i_loa,
+                         simulate_sas)
 from sas_transim.mmadm import read_csv
 from sas_transim.ra import ra_inputs_for_machine, estimate_ra
-from sas_transim.rk4 import IntegratorConfig, integrate
+from sas_transim.rk4 import IntegratorConfig, fault_on_bootstrap, integrate
 
 from test_adm import table1_rhs, table1_state
 
@@ -274,6 +275,109 @@ def test_driver_samples_equal_eval_window_bit_for_bit(cfg):
     assert row == traj.times.size
 
 
+def allocating_polyval(c, t):
+    """Horner's rule with a new array per step, as the driver evaluated
+    before its steps ran in place."""
+    acc = c[..., -1] + np.zeros_like(np.asarray(t, dtype=float))
+    for k in range(c.shape[-1] - 2, -1, -1):
+        acc = acc * t + c[..., k]
+    return acc
+
+
+def separate_rows(w, with_loa):
+    """The evaluation rows as derived before windows carried one block:
+    the sum, its derivative and the last term's derivative were three
+    arrays built with the window, and the driver stacked them for its
+    Horner pass, padding each derivative's missing top coefficient with a
+    zero."""
+    x = w.terms
+    ks = np.arange(1.0, x.shape[-1])
+    total = x.sum(axis=-3)
+    sum_deriv = total[..., 1:] * ks
+    last_term_deriv = x[..., -1, :, :][..., 1:] * ks
+    rows = np.zeros((3 if with_loa else 2,) + total.shape)
+    rows[0] = total
+    rows[1, :, :-1] = sum_deriv
+    if with_loa:
+        rows[2, :, :-1] = last_term_deriv
+    return rows, (total, sum_deriv, last_term_deriv)
+
+
+def separate_rows_simulate(rhs, state, horizon, cfg, t0):
+    """The window driver's sampling loop over ``separate_rows`` (without
+    the collapse check): times, angles and speeds."""
+    times, deltas, omegas = [np.array([t0])], [state.delta[None, :]], [state.omega_dev[None, :]]
+    elapsed, eps = 0.0, 1e-12 * max(1.0, horizon)
+    grid = np.linspace(0.0, cfg.t_init, cfg.samples_per_window)[1:]
+    while elapsed < horizon - eps:
+        t_w = min(cfg.t_init, horizon - elapsed)
+        w = derive_window(rhs, state, cfg.n_terms, window=t_w)
+        samples = (grid if t_w == cfg.t_init
+                   else np.linspace(0.0, t_w, cfg.samples_per_window)[1:])
+        vals = allocating_polyval(separate_rows(w, cfg.adaptive)[0], samples[:, None, None])
+        if cfg.adaptive:
+            over = np.flatnonzero(np.abs(vals[:, 2]).max(axis=1) > cfg.i_loa_max)
+            if over.size:
+                samples, vals = samples[:over[0]], vals[:over[0]]
+        state = MachineState(vals[-1, 0], vals[-1, 1])
+        times.append(t0 + elapsed + samples)
+        deltas.append(vals[:, 0])
+        omegas.append(vals[:, 1])
+        elapsed += samples[-1]
+    return np.concatenate(times), np.concatenate(deltas), np.concatenate(omegas)
+
+
+def post_fault_start(case):
+    """The post-fault model and the state a simulation of ``case`` starts
+    from: the fault-on bootstrap's end, or the case's given state."""
+    rhs = SwingRhsParams.from_case(case, "post_fault")
+    if case.events is not None and case.events.fault_bus is not None:
+        state, _ = fault_on_bootstrap(case, IntegratorConfig(dt=1e-3))
+        return rhs, state, case.events.t_clear
+    return rhs, MachineState(case.initial_delta, case.initial_omega), 0.0
+
+
+@pytest.mark.parametrize("adaptive", [False, True], ids=["analytic", "adaptive"])
+@pytest.mark.parametrize("case_name, t_init, i_loa_max", [
+    ("smib_case", 0.15, 0.1), ("ieee9_case", 0.15, 0.1), ("ieee39_case", 0.07, 3.0),
+], ids=["smib", "ieee9", "ieee39"])
+def test_one_block_reproduces_the_separate_rows_bytes(request, case_name, t_init,
+                                                       i_loa_max, adaptive):
+    """Over 0.5 s, whose last window is shortened, the driver reading the
+    window's one evaluation block records the bytes of the same loop over
+    separately derived rows and allocating Horner steps; adaptive runs cut
+    some windows early."""
+    rhs, state, t0 = post_fault_start(request.getfixturevalue(case_name))
+    cfg = (WindowConfig(t_init=t_init, n_terms=4, adaptive=True, i_loa_max=i_loa_max,
+                        samples_per_window=6) if adaptive
+           else WindowConfig(t_init=t_init, n_terms=8))
+    traj = simulate_sas(rhs, state, 0.5, cfg, t0=t0)
+    assert (traj.adaptive_cuts > 0) == adaptive
+    times, delta, omega = separate_rows_simulate(rhs, state, 0.5, cfg, t0)
+    assert traj.times.tobytes() == times.tobytes()
+    assert traj.delta.tobytes() == delta.tobytes()
+    assert traj.omega_dev.tobytes() == omega.tobytes()
+
+
+@pytest.mark.parametrize("case_name", ["smib_case", "ieee9_case", "ieee39_case"])
+def test_window_evaluators_reproduce_the_separate_series_bytes(request, case_name):
+    """The block holds the bytes of the separately derived rows (at eight
+    terms some coefficients sum three or more terms, so the order of
+    summation shows). eval_window, handoff_state and i_loa read its padded
+    rows; on [0, T] each gives the bytes of a Horner pass over its own
+    unpadded series."""
+    rhs, state, _ = post_fault_start(request.getfixturevalue(case_name))
+    w = derive_window(rhs, state, 8, window=0.2)
+    rows, (total, sum_deriv, last_term_deriv) = separate_rows(w, True)
+    assert w._block.tobytes() == rows.tobytes()
+    for t in np.linspace(0.0, 0.2, 7):
+        want = (allocating_polyval(total, t), allocating_polyval(sum_deriv, t))
+        for got in (eval_window(w, t),) + ((handoff_state(w, t),) if t > 0 else ()):
+            assert got.delta.tobytes() == want[0].tobytes()
+            assert got.omega_dev.tobytes() == want[1].tobytes()
+        assert i_loa(w, t) == float(np.abs(allocating_polyval(last_term_deriv, t)).max())
+
+
 def test_adaptive_underflow_raises():
     """A threshold no window length can satisfy collapses the adaptive cut
     below t_init/100 and raises with advice."""
@@ -317,6 +421,8 @@ def test_csv_relative_columns():
 def test_csv_rejects_garbage():
     with pytest.raises(ValidationError):
         read_csv(io.StringIO("a,b\n1,2\n"))
+    with pytest.raises(ValidationError, match="no machine columns"):
+        read_csv(io.StringIO("t\n0\n1\n"))
 
 
 def test_trajectory_validation():
