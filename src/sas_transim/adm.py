@@ -34,11 +34,17 @@ lambda order n works on q_n = min(2n + 1, p) coefficients of the p = 2N + 1
 an N-term window carries. Each sum of products is one matmul of outer
 products, truncated once to q_n coefficients, so lambda order n of Pe
 costs O(n K q_n^2 + K q_n^3 + K^2 q_n) for K machines. No symbolic algebra
-is involved, and no truncation drops a nonzero coefficient.
+is involved, and no truncation drops a nonzero coefficient. The constants
+of every order (the widths q_n, the truncation tables, the (n - m) factor
+columns, the (n, -n) divisors and the index factors of integration) live
+in one plan per (p, widths), built on first use and cached
+(``_kernel_plan``); a derivation allocates its (S, C), (V, U) and A_n
+arrays once.
 
 A window is its terms and its length. Its first read stacks the term sum
 and the derivatives of the sum and of the last term into one block, and
-every evaluation is one range-checked Horner pass over rows of that block.
+every evaluation is one range-checked Horner pass over rows of that block,
+from coefficient 2N - 2, the highest an N-term window reaches.
 
 Everything here is pure and operates on immutable values; per-machine work
 inside one lambda order is data-parallel (vectorized over the machine axis).
@@ -49,6 +55,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -260,16 +267,16 @@ def _conv_table(p: int) -> np.ndarray:
     return b
 
 
-def _truncated_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _truncated_product(a: np.ndarray, b: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Sum over m of the truncated t-products of a[..., :, m] and b[..., m, :].
 
     ``a`` holds q-coefficient polynomials down its second-to-last axis and
     ``b`` along its last, so the sum of outer products is one matmul; it is
-    truncated once, to q coefficients.
+    truncated once, to q coefficients, by ``table`` = ``_conv_table(q)``.
     """
     outer = a @ b
     q = outer.shape[-1]
-    return outer.reshape(outer.shape[:-2] + (q * q,)) @ _conv_table(q)
+    return outer.reshape(outer.shape[:-2] + (q * q,)) @ table
 
 
 @lru_cache(maxsize=None)
@@ -284,17 +291,48 @@ def _index_factors(p: int) -> tuple[np.ndarray, np.ndarray]:
     return k, kk
 
 
+class _KernelPlan(NamedTuple):
+    """Every constant of the lambda-order kernel for p coefficients and the
+    per-order ``widths``, built once by :func:`_kernel_plan`.
+
+    Order n reads ``conv[n]`` = ``_conv_table(widths[n])``, the (n - m)
+    factor column ``factors[n]`` (n, 1, 1) for m < n and the (n, -n)
+    divisors ``divisors[n]`` (2, 1, 1); order 0 has neither. ``ks`` and
+    ``kk`` are ``_index_factors(p)``.
+    """
+
+    widths: tuple[int, ...]
+    conv: tuple[np.ndarray, ...]
+    factors: tuple[np.ndarray | None, ...]
+    divisors: tuple[np.ndarray | None, ...]
+    ks: np.ndarray
+    kk: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _kernel_plan(p: int, widths: tuple[int, ...]) -> _KernelPlan:
+    factors, divisors = [None], [None]
+    for n in range(1, len(widths)):
+        factors.append(np.arange(n, 0, -1.0)[:, None, None])
+        divisors.append(np.array([n, -n], dtype=float)[:, None, None])
+    for arr in factors[1:] + divisors[1:]:
+        arr.setflags(write=False)
+    return _KernelPlan(widths, tuple(_conv_table(q) for q in widths),
+                       tuple(factors), tuple(divisors), *_index_factors(p))
+
+
 def _polyval(c: np.ndarray, t) -> np.ndarray:
-    acc = c[..., -1] + np.zeros_like(np.asarray(t, dtype=float))
+    acc = c[..., -1] + np.zeros(np.shape(t))
     for k in range(c.shape[-1] - 2, -1, -1):
         acc *= t   # in place: the same products and sums, no temporaries
         acc += c[..., k]
     return acc
 
 
-def _sin_cos_order(sc: np.ndarray, x: np.ndarray, n: int, q: int):
+def _sin_cos_order(sc: np.ndarray, x: np.ndarray, n: int, plan: _KernelPlan):
     """Fill ``sc[..., n]`` = (S_n, C_n), the lambda^n coefficients of the
-    sine and cosine of each machine's angle series, through t^(q-1).
+    sine and cosine of each machine's angle series, through t^(q-1) with
+    q = ``plan.widths[n]``.
 
     ``x`` (..., orders, K, p) holds the angle series by lambda order, with
     x[0] constant in t; ``sc`` (..., 2, K, p, orders) must hold orders
@@ -306,35 +344,42 @@ def _sin_cos_order(sc: np.ndarray, x: np.ndarray, n: int, q: int):
         sc[..., 0, :, 0, 0] = np.sin(x[..., 0, :, 0])
         sc[..., 1, :, 0, 0] = np.cos(x[..., 0, :, 0])
         return
-    dx = x[..., n:0:-1, :, :q] * np.arange(n, 0, -1.0)[:, None, None]   # (n - m) x_{n-m}, m < n
+    q = plan.widths[n]
+    dx = x[..., n:0:-1, :, :q] * plan.factors[n]   # (n - m) x_{n-m}, m < n
     # (sum C_m dx, sum S_m dx) / (n, -n) = (S_n, C_n)
-    acc = _truncated_product(sc[..., ::-1, :, :q, :n], dx.swapaxes(-3, -2)[..., None, :, :, :])
-    sc[..., :q, n] = acc / np.array([n, -n])[:, None, None]
+    acc = _truncated_product(sc[..., ::-1, :, :q, :n], dx.swapaxes(-3, -2)[..., None, :, :, :],
+                             plan.conv[n])
+    sc[..., :q, n] = acc / plan.divisors[n]
 
 
-def _nonlinearity_orders(rhs: SwingRhsParams, x: np.ndarray, widths=None):
+def _nonlinearity_orders(rhs: SwingRhsParams, x: np.ndarray, plan: _KernelPlan | None = None):
     """Yield A_0, A_1, ... for every machine, each (..., K, p): the lambda^n
     coefficients of gain * (Pm - Pe) along the angle series ``x``
     (..., orders, K, p), batched like ``rhs``.
 
-    ``widths[n]``, by default p, bounds the coefficients lambda order n can
-    reach: x_n, S_n, C_n and A_n must have degree below it. Order n works
-    on that many coefficients (products truncated there are exact) and pads
-    A_n back to p. A_n reads x[:n+1] only, so a caller may fill x[n] after
-    receiving A_{n-1}.
+    ``plan.widths[n]``, by default p, bounds the coefficients lambda order
+    n can reach: x_n, S_n, C_n and A_n must have degree below it. Order n
+    works on that many coefficients (products truncated there are exact)
+    and pads A_n back to p. A_n reads x[:n+1] only, so a caller may fill
+    x[n] after receiving A_{n-1}. Every A_n is a view of one array
+    allocated per call.
     """
     batch, (orders, k, p) = x.shape[:-3], x.shape[-3:]
+    if plan is None:
+        plan = _kernel_plan(p, (p,) * orders)
     # lambda orders last in (S, C) and next to last in (V, U), so that the
     # sums over m of S_m V_{n-m} and C_m U_{n-m} are one matmul
     sc = np.zeros(batch + (2, k, p, orders))
     vu = np.zeros(batch + (2, k, orders, p))
+    a = np.zeros((orders,) + batch + (k, p))
+    coupling = rhs.coupling
     neg_gain = -rhs.gain[..., None]
-    for n, q in enumerate([p] * orders if widths is None else widths):
-        _sin_cos_order(sc, x, n, q)
-        vu[..., n, :q] = (rhs.coupling @ sc[..., :q, n].reshape(batch + (2 * k, q))
+    for n, q in enumerate(plan.widths):
+        _sin_cos_order(sc, x, n, plan)
+        vu[..., n, :q] = (coupling @ sc[..., :q, n].reshape(batch + (2 * k, q))
                           ).reshape(batch + (2, k, q))
-        s_v_c_u = _truncated_product(sc[..., :q, :n + 1], vu[..., n::-1, :q])
-        a_n = np.zeros(batch + (k, p))
+        s_v_c_u = _truncated_product(sc[..., :q, :n + 1], vu[..., n::-1, :q], plan.conv[n])
+        a_n = a[n]
         a_n[..., :q] = neg_gain * (s_v_c_u[..., 0, :, :] + s_v_c_u[..., 1, :, :])
         if n == 0:
             a_n[..., 0] += rhs.gain * rhs.pm
@@ -345,7 +390,7 @@ def _nonlinearity_orders(rhs: SwingRhsParams, x: np.ndarray, widths=None):
 # Windows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SasWindow:
     """N polynomial terms per machine, valid on [0, T] in window-local time.
 
@@ -353,9 +398,9 @@ class SasWindow:
     evaluation reads rows of ``_block``, derived from the terms on first
     read: the term sum, its derivative and the derivative of the
     highest-order term (the loss-of-accuracy probe), stacked as
-    (3, ..., K, degree+1). Each derivative's top coefficient is a zero,
-    which leaves every Horner step at t >= 0 bit for bit. ``sum_coeffs`` is
-    row 0.
+    (3, ..., K, degree+1). Each derivative's top coefficient is a zero.
+    ``sum_coeffs`` is row 0. A window equals only itself and hashes by
+    identity, as its arrays cannot be compared as one truth value.
     """
 
     T: float
@@ -401,17 +446,19 @@ def derive_window(rhs: SwingRhsParams, state0: MachineState, n_terms: int, *,
     x[..., 0, :, 0] = state0.delta
     x[..., 1, :, 1] = state0.omega_dev
     # deg x_n <= 2n by induction (x_{n+1} double-integrates degree 2n), and
-    # the sines, cosines and A_n of order n stay within the same degree.
-    orders = _nonlinearity_orders(rhs, x, [min(2 * n + 1, p) for n in range(n_terms)])
+    # the sines, cosines and A_n of order n stay within the same degree:
+    # order n works on 2n + 1 coefficients.
+    plan = _kernel_plan(p, tuple(range(1, p - 2, 2)))
+    orders = _nonlinearity_orders(rhs, x, plan)
     a_col = rhs.a[..., None]
-    ks, kk = _index_factors(p)
+    kk, ks_tail = plan.kk, plan.ks[1:]
     # overflow to inf is caught by the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_terms - 1):
             a_n = next(orders)
             # x_{n+1} = II[A_n] - a II[dx_n/dt] from t^2 up (x_1 already
             # holds omega t); II[dx_n/dt] has x_n[k] / (k + 1) at t^(k+1).
-            x[..., n + 1, :, 2:] = a_n[..., :-2] / kk - a_col * (x[..., n, :, 1:-1] / ks[1:])
+            x[..., n + 1, :, 2:] = a_n[..., :-2] / kk - a_col * (x[..., n, :, 1:-1] / ks_tail)
     if not np.isfinite(x).all():
         order, machine = (int(i) for i in np.argwhere(~np.isfinite(x))[0][-3:-1])
         raise DivergenceError(
@@ -427,12 +474,18 @@ def _evaluate(w: SasWindow, t, rows: slice, *, cut: bool = False) -> np.ndarray:
     a scalar or an array of times, in one Horner pass. Every time must lie
     in [0, T], or in (0, T] for the handoff ``cut``, with 1e-12 s of slack
     at a closed end; the check runs on Python floats, a third of numpy's cost.
+
+    Horner starts at coefficient 2N - 2, the highest degree of an N-term
+    window. Every row's coefficients above it are +0, and the one there is
+    never -0 (each row sums or scales coefficients that include a +0), so
+    a pass from the top would hold a zero before it and the same bits from
+    it on, at any t in range, the -1e-12 s slack included.
     """
     ts = t.ravel().tolist() if isinstance(t, np.ndarray) else [t]
     if not all((0 < s if cut else -1e-12 <= s) and s <= w.T + 1e-12 for s in ts):
         name, start = ("t_cut", "(0") if cut else ("t_local", "window [0")
         raise ValidationError(f"{name}={t} outside {start}, {w.T}]")
-    return _polyval(w._block[rows], t)
+    return _polyval(w._block[rows, ..., :2 * w.terms.shape[-3] - 1], t)
 
 
 def eval_window(w: SasWindow, t_local: float) -> MachineState:

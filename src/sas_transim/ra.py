@@ -256,7 +256,8 @@ def estimate_hmin(inp: RaInputs, target_ra: float) -> float:
     fit can land a relative 1e-12 below the boundary of the directly derived
     window, so the ladder H_min (1 + 1e-12)^k, k = 0..8, is derived in one
     batch and the first rung that :func:`estimate_ra` would pass is
-    returned. ``target_ra`` must be positive and finite.
+    returned; the indicator roots of rungs 2-8 are solved only when rungs
+    0 and 1 both miss. ``target_ra`` must be positive and finite.
     """
     if not (target_ra > 0 and math.isfinite(target_ra)):
         raise ValidationError(f"target_ra must be positive and finite, got {target_ra!r}")
@@ -298,9 +299,13 @@ def estimate_hmin(inp: RaInputs, target_ra: float) -> float:
     h_min = _H_LO if u_star is None else 1.0 / u_star
     ladder = (h_min * (1.0 + 1e-12) ** np.arange(9)).tolist()
     c1s, c2s = (c.tolist() for c in _third_term([(inp, h) for h in ladder]))
-    for h, (r_a, _) in zip(ladder, _indicator_roots(c1s, c2s, [i_max] * len(ladder))):
-        if r_a >= target_ra:
-            return h
+    # Rungs 0 and 1 almost always pass, so their roots are solved first and
+    # those of rungs 2-8 only when both miss; each rung's roots are its own.
+    for rungs in (slice(2), slice(2, None)):
+        roots = _indicator_roots(c1s[rungs], c2s[rungs], [i_max] * len(ladder[rungs]))
+        for h, (r_a, _) in zip(ladder[rungs], roots):
+            if r_a >= target_ra:
+                return h
     raise NumericalError(
         f"target R_A={target_ra}s: estimate_ra misses it at H={ladder[-1]:.12g}s, "
         f"8 nudges above the closed-form H_min")

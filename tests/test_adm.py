@@ -6,6 +6,7 @@ series expansion as a symbolic cross-check of the lambda-composition engine.
 """
 
 import math
+from functools import lru_cache
 from itertools import islice
 
 import numpy as np
@@ -47,8 +48,9 @@ def sin_cos_of_series(coeffs):
     u = np.array(coeffs, dtype=float)
     x = u.reshape(u.size, 1, 1)
     sc = np.zeros((2, 1, 1, u.size))
+    plan = adm._kernel_plan(1, (1,) * u.size)
     for m in range(u.size):
-        adm._sin_cos_order(sc, x, m, 1)
+        adm._sin_cos_order(sc, x, m, plan)
     return sc[0, 0, 0], sc[1, 0, 0]
 
 
@@ -678,3 +680,119 @@ def test_window_matches_full_width_recursion(request, case_name, epoch):
             want = full_width_window_terms(rhs, st, n_terms)
             scale = np.abs(want).max(axis=2, keepdims=True)
             assert (np.abs(got - want) <= 1e-13 * scale).all(), n_terms
+
+
+# ---------------------------------------------------------------------------
+# The kernel's bytes, pinned to the recursion as it ran while it still built
+# its per-order constants inside each lambda order
+
+
+@lru_cache(maxsize=None)
+def _pinned_conv_table(p):
+    b = np.zeros((p * p, p))
+    for i in range(p):
+        for j in range(p - i):
+            b[i * p + j, i + j] = 1.0
+    return b
+
+
+def _pinned_truncated_product(a, b):
+    outer = a @ b
+    q = outer.shape[-1]
+    return outer.reshape(outer.shape[:-2] + (q * q,)) @ _pinned_conv_table(q)
+
+
+def _pinned_sin_cos_order(sc, x, n, q):
+    if n == 0:
+        sc[..., 0, :, 0, 0] = np.sin(x[..., 0, :, 0])
+        sc[..., 1, :, 0, 0] = np.cos(x[..., 0, :, 0])
+        return
+    dx = x[..., n:0:-1, :, :q] * np.arange(n, 0, -1.0)[:, None, None]
+    acc = _pinned_truncated_product(sc[..., ::-1, :, :q, :n],
+                                    dx.swapaxes(-3, -2)[..., None, :, :, :])
+    sc[..., :q, n] = acc / np.array([n, -n])[:, None, None]
+
+
+def _pinned_nonlinearity_orders(rhs, x, widths):
+    batch, (orders, k, p) = x.shape[:-3], x.shape[-3:]
+    sc = np.zeros(batch + (2, k, p, orders))
+    vu = np.zeros(batch + (2, k, orders, p))
+    neg_gain = -rhs.gain[..., None]
+    for n, q in enumerate(widths):
+        _pinned_sin_cos_order(sc, x, n, q)
+        vu[..., n, :q] = (rhs.coupling @ sc[..., :q, n].reshape(batch + (2 * k, q))
+                          ).reshape(batch + (2, k, q))
+        s_v_c_u = _pinned_truncated_product(sc[..., :q, :n + 1], vu[..., n::-1, :q])
+        a_n = np.zeros(batch + (k, p))
+        a_n[..., :q] = neg_gain * (s_v_c_u[..., 0, :, :] + s_v_c_u[..., 1, :, :])
+        if n == 0:
+            a_n[..., 0] += rhs.gain * rhs.pm
+        yield a_n
+
+
+def pinned_window_terms(rhs, state0, n_terms):
+    """derive_window's terms by the pinned recursion: every order builds
+    its factor column, divisors, A_n buffer and index factors anew."""
+    p = 2 * n_terms + 1
+    x = np.zeros(rhs.h.shape[:-1] + (n_terms, rhs.k, p))
+    x[..., 0, :, 0] = state0.delta
+    x[..., 1, :, 1] = state0.omega_dev
+    orders = _pinned_nonlinearity_orders(rhs, x, [min(2 * n + 1, p) for n in range(n_terms)])
+    a_col = rhs.a[..., None]
+    ks = np.arange(1.0, p)
+    kk = ks[:-1] * ks[1:]
+    for n in range(n_terms - 1):
+        a_n = next(orders)
+        x[..., n + 1, :, 2:] = a_n[..., :-2] / kk - a_col * (x[..., n, :, 1:-1] / ks[1:])
+    return x
+
+
+@pytest.mark.parametrize("case_name, epoch", CASE_EPOCHS)
+def test_window_terms_keep_the_pinned_kernel_bytes(request, case_name, epoch):
+    """Hoisting the kernel's constants into a cached plan moves no float:
+    every window's terms are the pinned recursion's, byte for byte."""
+    case = request.getfixturevalue(f"{case_name}_case")
+    rhs = SwingRhsParams.from_case(case, epoch)
+    for st in perturbed_states(case):
+        for n_terms in range(2, 11):
+            got = derive_window(rhs, st, n_terms).terms
+            assert got.tobytes() == pinned_window_terms(rhs, st, n_terms).tobytes(), n_terms
+
+
+def test_batched_pair_terms_keep_the_pinned_kernel_bytes():
+    """The same on one batch of every seed-1 screening pair (the
+    benchmark's accuracy-window inputs) at its own inertia and at the 1 s
+    and 2 s of the minimum-inertia fit."""
+    from sas_transim import netmodel, ra
+    from sas_transim.rk4 import fault_on_bootstrap
+    from test_bench_screening import _workloads
+    wl = _workloads()
+    inputs = wl.make_inputs("screening", 1)
+    base = netmodel.parse_case(inputs.text)
+    items = []
+    for inertias in inputs.variants:
+        case = netmodel.initialized_case(wl.with_inertias(base, inertias))
+        state, _ = fault_on_bootstrap(case, wl.BOOTSTRAP)
+        for _, inp in ra._pair_inputs(case, state, wl.I_LOA_MAX, None, "post_fault"):
+            items += [(inp, inp.h), (inp, 1.0), (inp, 2.0)]
+    assert len(items) == 324
+    rhs = ra._pair_rhs(items)
+    state = MachineState([[i.delta0_machine, i.delta0_ref] for i, _ in items],
+                         [[i.ddelta0_machine, i.ddelta0_ref] for i, _ in items])
+    for n_terms in (3, 6):
+        got = derive_window(rhs, state, n_terms).terms
+        assert got.tobytes() == pinned_window_terms(rhs, state, n_terms).tobytes(), n_terms
+
+
+def test_windows_compare_and_hash_by_identity():
+    """Two windows with equal terms are distinct values: == is identity and
+    hashing works, and the evaluation block still fills on first read."""
+    w1 = derive_window(table1_rhs(), table1_state(), 4, window=0.2)
+    w2 = derive_window(table1_rhs(), table1_state(), 4, window=0.2)
+    assert w1.terms.tobytes() == w2.terms.tobytes()
+    assert w1 == w1 and w1 != w2 and not (w1 == w2)
+    assert hash(w1) == hash(w1) and len({w1, w2, w1}) == 2
+    assert "_block_value" not in w1.__dict__
+    block = w1._block
+    assert w1.__dict__["_block_value"] is block and w1._block is block
+    assert np.array_equal(w1.sum_coeffs, w1.terms.sum(axis=0))

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from sas_transim import adm
 from sas_transim import (DivergenceError, MachineState, SwingRhsParams,
                          Trajectory, ValidationError, WindowConfig,
                          derive_window, eval_window, handoff_state, i_loa,
@@ -376,6 +377,29 @@ def test_window_evaluators_reproduce_the_separate_series_bytes(request, case_nam
             assert got.delta.tobytes() == want[0].tobytes()
             assert got.omega_dev.tobytes() == want[1].tobytes()
         assert i_loa(w, t) == float(np.abs(allocating_polyval(last_term_deriv, t)).max())
+
+
+@pytest.mark.parametrize("case_name", ["smib_case", "ieee9_case", "ieee39_case", "table1"])
+def test_horner_from_degree_2n_minus_2_keeps_the_full_width_bytes(request, case_name):
+    """Every evaluation starts Horner at coefficient 2N - 2, the highest an
+    N-term window reaches: on rows 0-2, alone and stacked, at t = 0, at
+    the -1e-12 s slack, at T/2 and at T, and on the driver's sample grid,
+    it gives the bytes of a pass over all 2N + 1 coefficients (the table1
+    pair's infinite-inertia node carries signed zeros)."""
+    if case_name == "table1":
+        rhs, state = table1_rhs(), table1_state()
+    else:
+        rhs, state, _ = post_fault_start(request.getfixturevalue(case_name))
+    rng = np.random.default_rng(3)
+    for n_terms in range(2, 11):
+        st = MachineState(state.delta + rng.uniform(-0.3, 0.3, state.delta.shape),
+                          state.omega_dev + rng.uniform(-2.0, 2.0, state.delta.shape))
+        w = derive_window(rhs, st, n_terms, window=0.2)
+        times = (0.0, -1e-12, 0.1, 0.2, np.linspace(0.0, 0.2, 5)[1:, None, None])
+        for t in times:
+            for rows in (slice(0, 1), slice(1, 2), slice(2, 3), slice(2), slice(3)):
+                got = adm._evaluate(w, t, rows)
+                assert got.tobytes() == adm._polyval(w._block[rows], t).tobytes(), (n_terms, t)
 
 
 def test_adaptive_underflow_raises():

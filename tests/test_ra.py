@@ -476,6 +476,41 @@ def test_hmin_equals_the_sequential_search_on_screening_inputs():
     assert (machines, nudged) == (108, 41)
 
 
+def test_hmin_ladder_solves_two_rungs_on_every_seed_1_machine(monkeypatch):
+    """On every seed-1 screening machine rung 0 or 1 of the nudge ladder
+    passes, so after its nine-pair derivation the ladder's root solve takes
+    two entries; rungs 2-8 are solved only when both miss."""
+    from test_bench_screening import _workloads
+    from sas_transim import netmodel
+    wl = _workloads()
+    inputs = wl.make_inputs("screening", 1)
+    base = netmodel.parse_case(inputs.text)
+    calls = []
+    third_term, indicator_roots = ra._third_term, ra._indicator_roots
+
+    def counted_third_term(items):
+        calls.append(("derive", len(items)))
+        return third_term(items)
+
+    def counted_indicator_roots(c1, c2, targets):
+        calls.append(("roots", len(c1)))
+        return indicator_roots(c1, c2, targets)
+
+    monkeypatch.setattr(ra, "_third_term", counted_third_term)
+    monkeypatch.setattr(ra, "_indicator_roots", counted_indicator_roots)
+    machines = 0
+    for inertias in inputs.variants:
+        case = netmodel.initialized_case(wl.with_inertias(base, inertias))
+        state, _ = fault_on_bootstrap(case, wl.BOOTSTRAP)
+        for bus, inp, _ in fleet_ra(case, state, wl.I_LOA_MAX):
+            calls.clear()
+            estimate_hmin(inp, wl.TARGET_RA)
+            assert calls[0] == ("derive", 2) and calls[1][0] == "roots", bus
+            assert calls[2:] == [("derive", 9), ("roots", 2)], bus
+            machines += 1
+    assert machines == 108
+
+
 # ---------------------------------------------------------------------------
 # Transfer admittance
 
