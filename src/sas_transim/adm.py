@@ -38,8 +38,8 @@ is involved, and no truncation drops a nonzero coefficient. The constants
 of every order (the widths q_n, the truncation tables, the (n - m) factor
 columns, the (n, -n) divisors and the index factors of integration) live
 in one plan per (p, widths), built on first use and cached
-(``_kernel_plan``); a derivation allocates its (S, C), (V, U) and A_n
-arrays once.
+(``_kernel_plan``), and order 0 at width 1 is pointwise. A run derives
+all its windows in one workspace (``_derivation``).
 
 A window is its terms and its length. Its first read stacks the term sum
 and the derivatives of the sum and of the last term into one block, and
@@ -361,8 +361,10 @@ def _nonlinearity_orders(rhs: SwingRhsParams, x: np.ndarray, plan: _KernelPlan |
     n can reach: x_n, S_n, C_n and A_n must have degree below it. Order n
     works on that many coefficients (products truncated there are exact)
     and pads A_n back to p. A_n reads x[:n+1] only, so a caller may fill
-    x[n] after receiving A_{n-1}. Every A_n is a view of one array
-    allocated per call.
+    x[n] after receiving A_{n-1}. After the last width it starts again at
+    A_0, so one generator serves every window derived in ``x``. Every A_n
+    is a view of one array allocated per call, and each order writes the
+    same positions every time, so the others stay zero.
     """
     batch, (orders, k, p) = x.shape[:-3], x.shape[-3:]
     if plan is None:
@@ -372,18 +374,29 @@ def _nonlinearity_orders(rhs: SwingRhsParams, x: np.ndarray, plan: _KernelPlan |
     sc = np.zeros(batch + (2, k, p, orders))
     vu = np.zeros(batch + (2, k, orders, p))
     a = np.zeros((orders,) + batch + (k, p))
+    products = np.empty(batch + (2, k))
     coupling = rhs.coupling
     neg_gain = -rhs.gain[..., None]
-    for n, q in enumerate(plan.widths):
-        _sin_cos_order(sc, x, n, plan)
-        vu[..., n, :q] = (coupling @ sc[..., :q, n].reshape(batch + (2 * k, q))
-                          ).reshape(batch + (2, k, q))
-        s_v_c_u = _truncated_product(sc[..., :q, :n + 1], vu[..., n::-1, :q], plan.conv[n])
-        a_n = a[n]
-        a_n[..., :q] = neg_gain * (s_v_c_u[..., 0, :, :] + s_v_c_u[..., 1, :, :])
-        if n == 0:
-            a_n[..., 0] += rhs.gain * rhs.pm
-        yield a_n
+    gain_pm = rhs.gain * rhs.pm
+    while True:
+        for n, q in enumerate(plan.widths):
+            _sin_cos_order(sc, x, n, plan)
+            vu[..., n, :q] = (coupling @ sc[..., :q, n].reshape(batch + (2 * k, q))
+                              ).reshape(batch + (2, k, q))
+            a_n = a[n]
+            if n == 0 and q == 1:   # pointwise: -gain (S V + C U) + gain Pm
+                np.multiply(sc[..., 0, 0], vu[..., 0, 0], out=products)
+                a_0 = np.add(products[..., 0, :], products[..., 1, :], out=a_n[..., 0])
+                a_0 += 0.0   # a -0 sum becomes the +0 the truncating matmuls give
+                np.multiply(neg_gain[..., 0], a_0, out=a_0)
+                a_0 += gain_pm
+            else:
+                s_v_c_u = _truncated_product(sc[..., :q, :n + 1], vu[..., n::-1, :q],
+                                             plan.conv[n])
+                a_n[..., :q] = neg_gain * (s_v_c_u[..., 0, :, :] + s_v_c_u[..., 1, :, :])
+                if n == 0:
+                    a_n[..., 0] += gain_pm
+            yield a_n
 
 
 # ---------------------------------------------------------------------------
@@ -396,11 +409,9 @@ class SasWindow:
 
     ``terms`` has shape (N, K, degree+1), after any batch dimensions. Every
     evaluation reads rows of ``_block``, derived from the terms on first
-    read: the term sum, its derivative and the derivative of the
-    highest-order term (the loss-of-accuracy probe), stacked as
-    (3, ..., K, degree+1). Each derivative's top coefficient is a zero.
-    ``sum_coeffs`` is row 0. A window equals only itself and hashes by
-    identity, as its arrays cannot be compared as one truth value.
+    read by ``_fill_block`` and stacked as (3, ..., K, degree+1). A window
+    equals only itself and hashes by identity, as its arrays cannot be
+    compared as one truth value.
     """
 
     T: float
@@ -413,18 +424,55 @@ class SasWindow:
         block = self.__dict__.get("_block_value")
         if block is None:
             x = self.terms
-            ks = _index_factors(x.shape[-1])[0]
             block = np.zeros((3,) + x.shape[:-3] + x.shape[-2:])
-            block[0] = x.sum(axis=-3)
-            np.multiply(block[0, ..., 1:], ks, out=block[1, ..., :-1])
-            np.multiply(x[..., -1, :, 1:], ks, out=block[2, ..., :-1])
+            _fill_block(x, block)
             block.setflags(write=False)
             self.__dict__["_block_value"] = block
         return block
 
-    @property
-    def sum_coeffs(self) -> np.ndarray:
-        return self._block[0]
+
+def _fill_block(x: np.ndarray, block: np.ndarray) -> None:
+    """Write into ``block`` (rows, ..., K, p), zero at each derivative's top
+    coefficient, the sum of the terms ``x``, its derivative and, in a third
+    row if any, the last term's derivative (the loss-of-accuracy probe)."""
+    ks = _index_factors(x.shape[-1])[0]
+    x.sum(axis=-3, out=block[0])
+    np.multiply(block[0, ..., 1:], ks, out=block[1, ..., :-1])
+    if len(block) > 2:
+        np.multiply(x[..., -1, :, 1:], ks, out=block[2, ..., :-1])
+
+
+def _derivation(rhs: SwingRhsParams, n_terms: int):
+    """``derive(delta, omega_dev, t_start)``: the finite terms from that
+    state, in buffers made once per call here and overwritten by the next
+    derive. Its caller ignores overflow, which the finiteness check catches."""
+    p = 2 * n_terms + 1
+    x = np.zeros(rhs.h.shape[:-1] + (n_terms, rhs.k, p))
+    # deg x_n <= 2n by induction (x_{n+1} double-integrates degree 2n), and
+    # the sines, cosines and A_n of order n stay within the same degree:
+    # order n works on 2n + 1 coefficients.
+    plan = _kernel_plan(p, tuple(range(1, p - 2, 2)))
+    orders = _nonlinearity_orders(rhs, x, plan)
+    a_col = rhs.a[..., None]
+    kk, ks_tail = plan.kk, plan.ks[1:]
+
+    def derive(delta, omega_dev, t_start):
+        x[..., 0, :, 0] = delta
+        x[..., 1, :, 1] = omega_dev
+        for n in range(n_terms - 1):
+            a_n = next(orders)
+            # x_{n+1} = II[A_n] - a II[dx_n/dt] from t^2 up (x_1 already
+            # holds omega t); II[dx_n/dt] has x_n[k] / (k + 1) at t^(k+1).
+            x[..., n + 1, :, 2:] = a_n[..., :-2] / kk - a_col * (x[..., n, :, 1:-1] / ks_tail)
+        if not np.isfinite(x).all():
+            order, machine = (int(i) for i in np.argwhere(~np.isfinite(x))[0][-3:-1])
+            raise DivergenceError(
+                f"non-finite series coefficient at term order {order}, "
+                f"machine {machine}, in the window from t={t_start:.6g}s",
+                t=t_start, machine=machine)
+        return x
+
+    return derive
 
 
 def derive_window(rhs: SwingRhsParams, state0: MachineState, n_terms: int, *,
@@ -441,39 +489,25 @@ def derive_window(rhs: SwingRhsParams, state0: MachineState, n_terms: int, *,
     check_count(n_terms, "n_terms", 2)   # the initial angle and speed terms
     if state0.delta.shape != rhs.h.shape:
         raise ValidationError("state size does not match machine count")
-    p = 2 * n_terms + 1
-    x = np.zeros(rhs.h.shape[:-1] + (n_terms, rhs.k, p))
-    x[..., 0, :, 0] = state0.delta
-    x[..., 1, :, 1] = state0.omega_dev
-    # deg x_n <= 2n by induction (x_{n+1} double-integrates degree 2n), and
-    # the sines, cosines and A_n of order n stay within the same degree:
-    # order n works on 2n + 1 coefficients.
-    plan = _kernel_plan(p, tuple(range(1, p - 2, 2)))
-    orders = _nonlinearity_orders(rhs, x, plan)
-    a_col = rhs.a[..., None]
-    kk, ks_tail = plan.kk, plan.ks[1:]
-    # overflow to inf is caught by the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(n_terms - 1):
-            a_n = next(orders)
-            # x_{n+1} = II[A_n] - a II[dx_n/dt] from t^2 up (x_1 already
-            # holds omega t); II[dx_n/dt] has x_n[k] / (k + 1) at t^(k+1).
-            x[..., n + 1, :, 2:] = a_n[..., :-2] / kk - a_col * (x[..., n, :, 1:-1] / ks_tail)
-    if not np.isfinite(x).all():
-        order, machine = (int(i) for i in np.argwhere(~np.isfinite(x))[0][-3:-1])
-        raise DivergenceError(
-            f"non-finite series coefficient at term order {order}, "
-            f"machine {machine}, in the window from t={t_start:.6g}s",
-            t=t_start, machine=machine)
+        x = _derivation(rhs, n_terms)(state0.delta, state0.omega_dev, t_start)
     x.setflags(write=False)
     return SasWindow(T=window, terms=x)
 
 
+def _check_times(t, T: float, cut: bool = False):
+    """``t``, after refusing times outside [0, T], or (0, T] for a ``cut``, with
+    1e-12 s of slack at a closed end; on Python floats, a third of numpy's cost."""
+    ts = t.ravel().tolist() if isinstance(t, np.ndarray) else [t]
+    if not all((0 < s if cut else -1e-12 <= s) and s <= T + 1e-12 for s in ts):
+        name, start = ("t_cut", "(0") if cut else ("t_local", "window [0")
+        raise ValidationError(f"{name}={t} outside {start}, {T}]")
+    return t
+
+
 def _evaluate(w: SasWindow, t, rows: slice, *, cut: bool = False) -> np.ndarray:
     """Rows ``rows`` of ``w``'s evaluation block at window-local time ``t``,
-    a scalar or an array of times, in one Horner pass. Every time must lie
-    in [0, T], or in (0, T] for the handoff ``cut``, with 1e-12 s of slack
-    at a closed end; the check runs on Python floats, a third of numpy's cost.
+    a scalar or an array of times in range, in one Horner pass.
 
     Horner starts at coefficient 2N - 2, the highest degree of an N-term
     window. Every row's coefficients above it are +0, and the one there is
@@ -481,10 +515,7 @@ def _evaluate(w: SasWindow, t, rows: slice, *, cut: bool = False) -> np.ndarray:
     a pass from the top would hold a zero before it and the same bits from
     it on, at any t in range, the -1e-12 s slack included.
     """
-    ts = t.ravel().tolist() if isinstance(t, np.ndarray) else [t]
-    if not all((0 < s if cut else -1e-12 <= s) and s <= w.T + 1e-12 for s in ts):
-        name, start = ("t_cut", "(0") if cut else ("t_local", "window [0")
-        raise ValidationError(f"{name}={t} outside {start}, {w.T}]")
+    _check_times(t, w.T, cut)
     return _polyval(w._block[rows, ..., :2 * w.terms.shape[-3] - 1], t)
 
 

@@ -6,9 +6,10 @@ the loss-of-accuracy indicator (the derivative of the highest-order term)
 crosses a threshold. The state handed to the next window is the window
 polynomial and its exact derivative at the cut.
 
-The driver's samples, ``eval_window``, ``handoff_state`` and ``i_loa`` all
-read the window's one evaluation block through ``adm._evaluate``: one
-Horner pass over the rows they need, behind one range check.
+A run derives and evaluates every window in one workspace allocated before
+the first: ``adm._derivation``'s buffers and an evaluation block whose
+indicator row exists only in adaptive runs. ``eval_window``,
+``handoff_state`` and ``i_loa`` read a window's own block the same way.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import adm
-from .adm import MachineState, SasWindow, SwingRhsParams, derive_window
-from .adm import eval_window  # noqa: F401  (re-exported with the other window evaluators)
+from .adm import MachineState, SasWindow, SwingRhsParams
+from .adm import derive_window, eval_window  # noqa: F401  (re-exported with the window functions)
 from .errors import DivergenceError, ValidationError, check_count
 
 # Windows one simulation may derive; a horizon that could need more (at the
@@ -199,7 +200,8 @@ def simulate_sas(rhs: SwingRhsParams, state0: MachineState, horizon: float,
     at a sample point is truncated at the previous sample; a cut collapsing
     below t_init/100 raises, suggesting more terms or a shorter window. A
     horizon that could need more than ``MAX_WINDOWS`` windows, or record more
-    than ``MAX_SAMPLES`` samples, is refused.
+    than ``MAX_SAMPLES`` samples, is refused. A window whose coefficients
+    or kept samples are not finite raises ``DivergenceError``.
     """
     if not (horizon > 0 and math.isfinite(horizon)):
         raise ValidationError(f"horizon must be positive and finite, got {horizon!r}")
@@ -222,43 +224,50 @@ def simulate_sas(rhs: SwingRhsParams, state0: MachineState, horizon: float,
     boundaries = []
     n_cuts = 0
     elapsed = 0.0
-    state = state0
+    delta, omega = state0.delta, state0.omega_dev
     eps = 1e-12 * max(1.0, horizon)
-    grid = np.linspace(0.0, cfg.t_init, cfg.samples_per_window)[1:]
-    while elapsed < t_end - eps:
-        t_w = min(cfg.t_init, t_end - elapsed)
-        w = derive_window(rhs, state, cfg.n_terms, t_start=t0 + elapsed, window=t_w)
-        samples = (grid if t_w == cfg.t_init
-                   else np.linspace(0.0, t_w, cfg.samples_per_window)[1:])
-        # vals[i] holds angles, speeds and, when adaptive, indicator values
-        # at samples[i]
-        vals = adm._evaluate(w, samples[:, None, None], slice(3 if cfg.adaptive else 2))
-        if cfg.adaptive:
-            loa = np.abs(vals[:, 2])
-            over = np.flatnonzero(loa.max(axis=1) > cfg.i_loa_max)
-            if over.size:
-                first = int(over[0])
-                if first == 0 or samples[first - 1] < cfg.t_init / 100.0:
-                    ts = samples[first]
-                    machine = int(loa[first].argmax())
-                    raise DivergenceError(
-                        "series window collapsed below t_init/100 at "
-                        f"t={t0 + elapsed + ts:.6g}s (machine {machine}); "
-                        "raise n_terms or lower t_init",
-                        t=t0 + elapsed + ts, machine=machine)
-                samples = samples[:first]
-                vals = vals[:first]
-                n_cuts += 1
-        # The last sample kept is the cut; its state is handed to the next
-        # window.
-        cut = samples[-1]
-        delta, omega = vals[:, 0], vals[:, 1]
-        state = MachineState(delta[-1], omega[-1])
-        times.append(t0 + elapsed + samples)
-        deltas.append(delta)
-        omegas.append(omega)
-        elapsed += cut
-        boundaries.append(t0 + elapsed)
+    derive = adm._derivation(rhs, cfg.n_terms)
+    block = np.zeros((3 if cfg.adaptive else 2, rhs.k, 2 * cfg.n_terms + 1))
+    live = block[..., :2 * cfg.n_terms - 1]   # Horner from coefficient 2N - 2
+    grid = adm._check_times(np.linspace(0.0, cfg.t_init, cfg.samples_per_window)[1:], cfg.t_init)
+    with np.errstate(over="ignore", invalid="ignore"):   # the checks below catch inf
+        while elapsed < t_end - eps:
+            t_w = min(cfg.t_init, t_end - elapsed)
+            adm._fill_block(derive(delta, omega, t0 + elapsed), block)
+            samples = grid
+            if t_w != cfg.t_init:   # a shorter last window
+                samples = adm._check_times(np.linspace(0.0, t_w, cfg.samples_per_window)[1:], t_w)
+            # vals[i] holds angles, speeds and, when adaptive, indicator
+            # values at samples[i]
+            vals = adm._polyval(live, samples[:, None, None])
+            if cfg.adaptive:
+                loa = np.abs(vals[:, 2])
+                over = np.flatnonzero(loa.max(axis=1) > cfg.i_loa_max)
+                if over.size:
+                    first = int(over[0])
+                    if first == 0 or samples[first - 1] < cfg.t_init / 100.0:
+                        ts = samples[first]
+                        machine = int(loa[first].argmax())
+                        raise DivergenceError(
+                            "series window collapsed below t_init/100 at "
+                            f"t={t0 + elapsed + ts:.6g}s (machine {machine}); "
+                            "raise n_terms or lower t_init",
+                            t=t0 + elapsed + ts, machine=machine)
+                    samples = samples[:first]
+                    vals = vals[:first]
+                    n_cuts += 1
+            finite = np.isfinite(vals[:, :2])
+            if not finite.all():
+                i, _, machine = (int(j) for j in np.argwhere(~finite)[0])
+                ts = t0 + elapsed + samples[i]
+                raise DivergenceError(f"non-finite series sample at t={ts:.6g}s, "
+                                      f"machine {machine}", t=ts, machine=machine)
+            times.append(t0 + elapsed + samples)
+            deltas.append(vals[:, 0])
+            omegas.append(vals[:, 1])
+            delta, omega = vals[-1, 0], vals[-1, 1]   # the cut starts the next window
+            elapsed += samples[-1]
+            boundaries.append(t0 + elapsed)
     return Trajectory(times=np.concatenate(times), delta=np.concatenate(deltas),
                       omega_dev=np.concatenate(omegas), source="sas",
                       window_boundaries=np.array(boundaries),

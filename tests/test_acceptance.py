@@ -64,7 +64,7 @@ def _breach_times(threshold):
     out = {}
     for n in (5, 6, 7, 8):
         w = derive_window(rhs, st, n)
-        err = np.abs(_polyval(w.sum_coeffs[0], rk.times) - rk.delta[:, 0])
+        err = np.abs(_polyval(w.terms.sum(axis=-3)[0], rk.times) - rk.delta[:, 0])
         idx = np.argwhere(err > threshold)
         out[n] = float(rk.times[idx[0, 0]]) if idx.size else 0.8
     return out
@@ -130,7 +130,7 @@ def test_criterion_2_breach_time_monotone():
     rhs, st = table1_rhs(), table1_state()
     exact = _swing_taylor(40)
     taylor_gap = max(
-        float((np.abs(derive_window(rhs, st, n).sum_coeffs[0, :n] - exact[:n])
+        float((np.abs(derive_window(rhs, st, n).terms.sum(axis=-3)[0, :n] - exact[:n])
                / np.abs(exact[:n])).max())
         for n in (5, 6, 7, 8))
     radius = abs(exact[40]) ** (-1.0 / 40)

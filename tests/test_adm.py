@@ -284,7 +284,7 @@ def test_window_sum_matches_published_sum():
     published = {0: 0.0957 + 1.0472, 1: 3.7639, 2: -2.6536, 3: -27.6585,
                  4: 68.3227, 5: 30.1824, 6: -452.1607, 7: 216.8390, 8: -33.7017}
     for p, val in published.items():
-        got = w.sum_coeffs[0, p]
+        got = w.terms.sum(axis=-3)[0, p]
         assert abs(got - val) / max(abs(val), 1e-12) < 0.02, (p, got, val)
 
 
@@ -297,10 +297,10 @@ def test_window_free_motion_exact():
         omega0=OMEGA0)
     st = MachineState(np.array([0.4]), np.array([1.3]))
     w = derive_window(rhs, st, 4)
-    expected = np.zeros_like(w.sum_coeffs[0])
+    expected = np.zeros_like(w.terms.sum(axis=-3)[0])
     expected[0] = 0.4
     expected[1] = 1.3
-    assert np.array_equal(w.sum_coeffs[0], expected)
+    assert np.array_equal(w.terms.sum(axis=-3)[0], expected)
     assert np.abs(w.terms[2:]).max() == 0.0
 
 
@@ -311,8 +311,8 @@ def test_window_pins_initial_state_exactly():
     got = eval_window(w, 0.0)
     assert np.array_equal(got.delta, st.delta)
     assert np.array_equal(got.omega_dev, st.omega_dev)
-    # sum equals the coefficient-wise total of the terms
-    assert np.array_equal(w.sum_coeffs, w.terms.sum(axis=0))
+    # the block's first row is the coefficient-wise total of the terms
+    assert np.array_equal(w._block[0], w.terms.sum(axis=0))
 
 
 def test_window_equilibrium_state_has_trivial_tail():
@@ -428,7 +428,7 @@ def test_eval_window_range_check():
 def test_eval_window_horner_matches_monomials():
     w = derive_window(table1_rhs(), table1_state(), 5)
     t = 0.1
-    direct = sum(c * t ** k for k, c in enumerate(w.sum_coeffs[0]))
+    direct = sum(c * t ** k for k, c in enumerate(w.terms.sum(axis=-3)[0]))
     got = eval_window(w, t)
     assert abs(got.delta[0] - direct) < 1e-12
 
@@ -474,7 +474,7 @@ def test_window_taylor_agreement_with_rk4_derivatives():
     a, b, c = stencil(h), stencil(h / 2), stencil(h / 4)
     fd = (16 * (4 * c - b) / 3 - (4 * b - a) / 3) / 15
     for p, want in enumerate(fd):
-        got = w.sum_coeffs[0, p]
+        got = w.terms.sum(axis=-3)[0, p]
         assert abs(got - want) <= 1e-6 * max(1.0, abs(want)), (p, got, want)
 
 
@@ -485,7 +485,7 @@ def test_window_determinism():
     w1 = derive_window(rhs, st, 5)
     w2 = derive_window(rhs, st, 5)
     assert np.array_equal(w1.terms, w2.terms)
-    assert np.array_equal(w1.sum_coeffs, w2.sum_coeffs)
+    assert np.array_equal(w1.terms.sum(axis=-3), w2.terms.sum(axis=-3))
 
 
 # ---------------------------------------------------------------------------
@@ -759,6 +759,21 @@ def test_window_terms_keep_the_pinned_kernel_bytes(request, case_name, epoch):
             assert got.tobytes() == pinned_window_terms(rhs, st, n_terms).tobytes(), n_terms
 
 
+def test_pointwise_order_0_keeps_the_signed_zeros_of_the_matmuls():
+    """Order 0 at width 1 multiplies S V and C U pointwise; the truncating
+    matmuls it replaces sum onto +0. For an uncoupled infinite-inertia node
+    with negative Pm at an angle whose sine and cosine are both negative,
+    both products are -0, and A_0 = -0 (S V + C U) + 0 Pm is a zero whose
+    sign reaches x_1. The terms keep the pinned recursion's bytes."""
+    rhs = SwingRhsParams(h=[math.inf, 2.0], d=[0.0, 0.1], pm=[-0.5, -0.5], e=[1.0, 1.0],
+                         y=np.zeros((2, 2)), omega0=OMEGA0)
+    st = MachineState(np.array([-2.0, -2.0]), np.array([0.0, 0.3]))
+    for n_terms in (2, 3, 5):
+        want = pinned_window_terms(rhs, st, n_terms)
+        assert want[1, 0, 2] == 0.0 and np.signbit(want[1, 0, 2])
+        assert derive_window(rhs, st, n_terms).terms.tobytes() == want.tobytes(), n_terms
+
+
 def test_batched_pair_terms_keep_the_pinned_kernel_bytes():
     """The same on one batch of every seed-1 screening pair (the
     benchmark's accuracy-window inputs) at its own inertia and at the 1 s
@@ -795,4 +810,4 @@ def test_windows_compare_and_hash_by_identity():
     assert "_block_value" not in w1.__dict__
     block = w1._block
     assert w1.__dict__["_block_value"] is block and w1._block is block
-    assert np.array_equal(w1.sum_coeffs, w1.terms.sum(axis=0))
+    assert np.array_equal(w1._block[0], w1.terms.sum(axis=0))

@@ -2,6 +2,7 @@
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from sas_transim.mmadm import read_csv
 from sas_transim.ra import ra_inputs_for_machine, estimate_ra
 from sas_transim.rk4 import IntegratorConfig, fault_on_bootstrap, integrate
 
-from test_adm import table1_rhs, table1_state
+from test_adm import pinned_window_terms, table1_rhs, table1_state
 
 
 def test_config_validation():
@@ -213,7 +214,7 @@ def test_n_benefit_at_figure_resolution():
     breaches = []
     for n in (5, 6, 7, 8):
         w = derive_window(rhs, st, n)
-        err = np.abs(adm._polyval(w.sum_coeffs[0], rk.times) - rk.delta[:, 0])
+        err = np.abs(adm._polyval(w.terms.sum(axis=-3)[0], rk.times) - rk.delta[:, 0])
         idx = np.argwhere(err > 0.02)
         breaches.append(rk.times[idx[0, 0]] if idx.size else 0.8)
     assert all(b >= a - 1e-12 for a, b in zip(breaches, breaches[1:])), breaches
@@ -290,42 +291,50 @@ def separate_rows(w, with_loa):
     the sum, its derivative and the last term's derivative were three
     arrays built with the window, and the driver stacked them for its
     Horner pass, padding each derivative's missing top coefficient with a
-    zero."""
-    x = w.terms
+    zero. ``w`` is a window or its terms."""
+    x = getattr(w, "terms", w)
     ks = np.arange(1.0, x.shape[-1])
     total = x.sum(axis=-3)
     sum_deriv = total[..., 1:] * ks
     last_term_deriv = x[..., -1, :, :][..., 1:] * ks
     rows = np.zeros((3 if with_loa else 2,) + total.shape)
     rows[0] = total
-    rows[1, :, :-1] = sum_deriv
+    rows[1, ..., :-1] = sum_deriv
     if with_loa:
-        rows[2, :, :-1] = last_term_deriv
+        rows[2, ..., :-1] = last_term_deriv
     return rows, (total, sum_deriv, last_term_deriv)
 
 
-def separate_rows_simulate(rhs, state, horizon, cfg, t0):
-    """The window driver's sampling loop over ``separate_rows`` (without
-    the collapse check): times, angles and speeds."""
+def window_by_window_simulate(rhs, state, horizon, cfg, t0):
+    """The window driver as a loop of separate steps: each window's terms
+    by test_adm's pinned recursion, its rows built apart and evaluated
+    with allocating Horner steps, its end state handed on through
+    MachineState. Returns times, angles, speeds, window boundaries and the
+    number of adaptive cuts."""
     times, deltas, omegas = [np.array([t0])], [state.delta[None, :]], [state.omega_dev[None, :]]
+    boundaries, cuts = [], 0
     elapsed, eps = 0.0, 1e-12 * max(1.0, horizon)
     grid = np.linspace(0.0, cfg.t_init, cfg.samples_per_window)[1:]
     while elapsed < horizon - eps:
         t_w = min(cfg.t_init, horizon - elapsed)
-        w = derive_window(rhs, state, cfg.n_terms, window=t_w)
+        rows = separate_rows(pinned_window_terms(rhs, state, cfg.n_terms), cfg.adaptive)[0]
         samples = (grid if t_w == cfg.t_init
                    else np.linspace(0.0, t_w, cfg.samples_per_window)[1:])
-        vals = allocating_polyval(separate_rows(w, cfg.adaptive)[0], samples[:, None, None])
+        vals = allocating_polyval(rows, samples[:, None, None])
         if cfg.adaptive:
             over = np.flatnonzero(np.abs(vals[:, 2]).max(axis=1) > cfg.i_loa_max)
             if over.size:
+                assert over[0] > 0 and samples[over[0] - 1] >= cfg.t_init / 100.0
                 samples, vals = samples[:over[0]], vals[:over[0]]
+                cuts += 1
         state = MachineState(vals[-1, 0], vals[-1, 1])
         times.append(t0 + elapsed + samples)
         deltas.append(vals[:, 0])
         omegas.append(vals[:, 1])
         elapsed += samples[-1]
-    return np.concatenate(times), np.concatenate(deltas), np.concatenate(omegas)
+        boundaries.append(t0 + elapsed)
+    return (np.concatenate(times), np.concatenate(deltas), np.concatenate(omegas),
+            np.array(boundaries), cuts)
 
 
 def post_fault_start(case):
@@ -354,10 +363,66 @@ def test_one_block_reproduces_the_separate_rows_bytes(request, case_name, t_init
            else WindowConfig(t_init=t_init, n_terms=8))
     traj = simulate_sas(rhs, state, 0.5, cfg, t0=t0)
     assert (traj.adaptive_cuts > 0) == adaptive
-    times, delta, omega = separate_rows_simulate(rhs, state, 0.5, cfg, t0)
+    times, delta, omega, _, _ = window_by_window_simulate(rhs, state, 0.5, cfg, t0)
     assert traj.times.tobytes() == times.tobytes()
     assert traj.delta.tobytes() == delta.tobytes()
     assert traj.omega_dev.tobytes() == omega.tobytes()
+
+
+@pytest.mark.parametrize("seed", [1, 44])
+def test_driver_keeps_the_bytes_of_the_window_by_window_loop(seed):
+    """On the benchmark's ieee39 inputs, the driver's one workspace per run
+    records the bytes of a loop that derives, evaluates and hands on every
+    window apart: at N = 3, 5 and 8 over 1.03 s, whose last window is
+    shortened, and in adaptive runs that cut. A batched derivation of
+    K = 2 pairs, as ``ra`` runs it, keeps its terms and rows the same way."""
+    from sas_transim import ra
+    from test_bench_screening import _workloads
+    wl = _workloads()
+    prep = wl.setup(wl.make_inputs("ieee39-series", seed))
+    horizon = 1.03
+    for cfg in (WindowConfig(t_init=0.05, n_terms=3), WindowConfig(t_init=0.1, n_terms=5),
+                WindowConfig(t_init=0.2, n_terms=8),
+                WindowConfig(t_init=0.2, n_terms=3, adaptive=True, i_loa_max=0.1,
+                             samples_per_window=6),
+                WindowConfig(t_init=0.4, n_terms=5, adaptive=True, i_loa_max=0.01,
+                             samples_per_window=6)):
+        traj = simulate_sas(prep.rhs, prep.state, horizon, cfg, t0=prep.t0)
+        times, delta, omega, boundaries, cuts = window_by_window_simulate(
+            prep.rhs, prep.state, horizon, cfg, prep.t0)
+        assert traj.times.tobytes() == times.tobytes(), cfg
+        assert traj.delta.tobytes() == delta.tobytes(), cfg
+        assert traj.omega_dev.tobytes() == omega.tobytes(), cfg
+        assert traj.window_boundaries.tobytes() == boundaries.tobytes(), cfg
+        assert traj.adaptive_cuts == cuts and (cuts > 0) == cfg.adaptive, cfg
+    items = [(inp, h) for _, inp in ra._pair_inputs(prep.case, prep.state, wl.I_LOA_MAX,
+                                                   None, "post_fault")
+             for h in (inp.h, 1.0, 2.0)]
+    rhs = ra._pair_rhs(items)
+    state = MachineState([[i.delta0_machine, i.delta0_ref] for i, _ in items],
+                         [[i.ddelta0_machine, i.ddelta0_ref] for i, _ in items])
+    for n_terms in (3, 5, 8):
+        w = derive_window(rhs, state, n_terms)
+        want = pinned_window_terms(rhs, state, n_terms)
+        assert w.terms.tobytes() == want.tobytes(), n_terms
+        assert w._block.tobytes() == separate_rows(want, True)[0].tobytes(), n_terms
+
+
+def test_sample_overflow_is_a_divergence():
+    """Finite terms whose samples overflow stop the run with the time and
+    the machine, and no floating-point warning escapes: at H = 1e-305 s
+    the first machine's angle series passes 1e308 rad within the window."""
+    rhs = SwingRhsParams(h=[1e-305, 1.0], d=[0.0, 0.0], pm=[0.5, 0.5], e=[1.0, 1.0],
+                         y=np.array([[1 - 5j, -1 + 5j], [-1 + 5j, 1 - 5j]]),
+                         omega0=2 * math.pi * 60)
+    st = MachineState(np.array([0.3, 0.0]), np.zeros(2))
+    assert np.isfinite(derive_window(rhs, st, 2).terms).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match="non-finite series sample at t=5s, "
+                                                  "machine 0") as info:
+            simulate_sas(rhs, st, 20.0, WindowConfig(t_init=10.0, n_terms=2))
+    assert (info.value.t, info.value.machine) == (5.0, 0)
 
 
 @pytest.mark.parametrize("case_name", ["smib_case", "ieee9_case", "ieee39_case"])
