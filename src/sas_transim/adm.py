@@ -38,7 +38,7 @@ is involved, and no truncation drops a nonzero coefficient. The constants
 of every order (the widths q_n, the truncation tables, the (n - m) factor
 columns, the (n, -n) divisors and the index factors of integration) live
 in one plan per (p, widths), built on first use and cached
-(``_kernel_plan``), and order 0 at width 1 is pointwise. A run derives
+(``_kernel_plan``), and order 0, a constant, is pointwise. A run derives
 all its windows in one workspace (``_derivation``).
 
 A window is its terms and its length. Its first read stacks the term sum
@@ -362,9 +362,10 @@ def _nonlinearity_orders(rhs: SwingRhsParams, x: np.ndarray, plan: _KernelPlan |
     works on that many coefficients (products truncated there are exact)
     and pads A_n back to p. A_n reads x[:n+1] only, so a caller may fill
     x[n] after receiving A_{n-1}. After the last width it starts again at
-    A_0, so one generator serves every window derived in ``x``. Every A_n
-    is a view of one array allocated per call, and each order writes the
-    same positions every time, so the others stay zero.
+    A_0, so one generator serves every window derived in ``x`` if each
+    window takes exactly ``len(plan.widths)`` orders. Every A_n is a view
+    of one array allocated per call, and each order writes the same
+    positions every time, so the others stay zero.
     """
     batch, (orders, k, p) = x.shape[:-3], x.shape[-3:]
     if plan is None:
@@ -384,7 +385,7 @@ def _nonlinearity_orders(rhs: SwingRhsParams, x: np.ndarray, plan: _KernelPlan |
             vu[..., n, :q] = (coupling @ sc[..., :q, n].reshape(batch + (2 * k, q))
                               ).reshape(batch + (2, k, q))
             a_n = a[n]
-            if n == 0 and q == 1:   # pointwise: -gain (S V + C U) + gain Pm
+            if n == 0:   # x_0, hence A_0, is constant: -gain (S V + C U) + gain Pm
                 np.multiply(sc[..., 0, 0], vu[..., 0, 0], out=products)
                 a_0 = np.add(products[..., 0, :], products[..., 1, :], out=a_n[..., 0])
                 a_0 += 0.0   # a -0 sum becomes the +0 the truncating matmuls give
@@ -394,8 +395,6 @@ def _nonlinearity_orders(rhs: SwingRhsParams, x: np.ndarray, plan: _KernelPlan |
                 s_v_c_u = _truncated_product(sc[..., :q, :n + 1], vu[..., n::-1, :q],
                                              plan.conv[n])
                 a_n[..., :q] = neg_gain * (s_v_c_u[..., 0, :, :] + s_v_c_u[..., 1, :, :])
-                if n == 0:
-                    a_n[..., 0] += gain_pm
             yield a_n
 
 
@@ -459,7 +458,7 @@ def _derivation(rhs: SwingRhsParams, n_terms: int):
     def derive(delta, omega_dev, t_start):
         x[..., 0, :, 0] = delta
         x[..., 1, :, 1] = omega_dev
-        for n in range(n_terms - 1):
+        for n in range(len(plan.widths)):   # every order, so the next window starts at A_0
             a_n = next(orders)
             # x_{n+1} = II[A_n] - a II[dx_n/dt] from t^2 up (x_1 already
             # holds omega t); II[dx_n/dt] has x_n[k] / (k + 1) at t^(k+1).
@@ -495,19 +494,11 @@ def derive_window(rhs: SwingRhsParams, state0: MachineState, n_terms: int, *,
     return SasWindow(T=window, terms=x)
 
 
-def _check_times(t, T: float, cut: bool = False):
-    """``t``, after refusing times outside [0, T], or (0, T] for a ``cut``, with
-    1e-12 s of slack at a closed end; on Python floats, a third of numpy's cost."""
-    ts = t.ravel().tolist() if isinstance(t, np.ndarray) else [t]
-    if not all((0 < s if cut else -1e-12 <= s) and s <= T + 1e-12 for s in ts):
-        name, start = ("t_cut", "(0") if cut else ("t_local", "window [0")
-        raise ValidationError(f"{name}={t} outside {start}, {T}]")
-    return t
-
-
 def _evaluate(w: SasWindow, t, rows: slice, *, cut: bool = False) -> np.ndarray:
     """Rows ``rows`` of ``w``'s evaluation block at window-local time ``t``,
-    a scalar or an array of times in range, in one Horner pass.
+    a scalar or an array of times, in one Horner pass. Every time must lie
+    in [0, T], or in (0, T] for the handoff ``cut``, with 1e-12 s of slack
+    at a closed end; the check runs on Python floats, a third of numpy's cost.
 
     Horner starts at coefficient 2N - 2, the highest degree of an N-term
     window. Every row's coefficients above it are +0, and the one there is
@@ -515,7 +506,10 @@ def _evaluate(w: SasWindow, t, rows: slice, *, cut: bool = False) -> np.ndarray:
     a pass from the top would hold a zero before it and the same bits from
     it on, at any t in range, the -1e-12 s slack included.
     """
-    _check_times(t, w.T, cut)
+    ts = t.ravel().tolist() if isinstance(t, np.ndarray) else [t]
+    if not all((0 < s if cut else -1e-12 <= s) and s <= w.T + 1e-12 for s in ts):
+        name, start = ("t_cut", "(0") if cut else ("t_local", "window [0")
+        raise ValidationError(f"{name}={t} outside {start}, {w.T}]")
     return _polyval(w._block[rows, ..., :2 * w.terms.shape[-3] - 1], t)
 
 

@@ -35,7 +35,7 @@ def check_count(value, name: str, least: int) -> None:
     Floats are refused even when integral: a count sizes arrays and loops,
     so 2.5 or nan must not be rounded or compared into some other meaning.
     """
-    # an exact int first: derive_window checks every window the driver derives
+    # an exact int first: derive_window checks the count on every call
     if not (type(value) is int
             or isinstance(value, numbers.Integral) and not isinstance(value, bool)):
         raise ValidationError(f"{name} must be an integer, got {value!r}")

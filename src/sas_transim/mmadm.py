@@ -217,6 +217,8 @@ def simulate_sas(rhs: SwingRhsParams, state0: MachineState, horizon: float,
             f"{cfg.samples_per_window} samples per window over up to "
             f"{horizon / shortest:.3g} windows is {samples:.3g} samples, more than "
             f"MAX_SAMPLES = {MAX_SAMPLES}")
+    if state0.delta.shape != rhs.h.shape:
+        raise ValidationError("state size does not match machine count")
     t_end = horizon
     times = [np.array([t0])]
     deltas = [state0.delta[None, :]]
@@ -229,14 +231,14 @@ def simulate_sas(rhs: SwingRhsParams, state0: MachineState, horizon: float,
     derive = adm._derivation(rhs, cfg.n_terms)
     block = np.zeros((3 if cfg.adaptive else 2, rhs.k, 2 * cfg.n_terms + 1))
     live = block[..., :2 * cfg.n_terms - 1]   # Horner from coefficient 2N - 2
-    grid = adm._check_times(np.linspace(0.0, cfg.t_init, cfg.samples_per_window)[1:], cfg.t_init)
+    grid = np.linspace(0.0, cfg.t_init, cfg.samples_per_window)[1:]
     with np.errstate(over="ignore", invalid="ignore"):   # the checks below catch inf
         while elapsed < t_end - eps:
             t_w = min(cfg.t_init, t_end - elapsed)
             adm._fill_block(derive(delta, omega, t0 + elapsed), block)
             samples = grid
             if t_w != cfg.t_init:   # a shorter last window
-                samples = adm._check_times(np.linspace(0.0, t_w, cfg.samples_per_window)[1:], t_w)
+                samples = np.linspace(0.0, t_w, cfg.samples_per_window)[1:]
             # vals[i] holds angles, speeds and, when adaptive, indicator
             # values at samples[i]
             vals = adm._polyval(live, samples[:, None, None])

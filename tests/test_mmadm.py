@@ -482,6 +482,19 @@ def test_driver_rejects_bad_horizon():
         simulate_sas(table1_rhs(), table1_state(), 0.0, WindowConfig(t_init=0.1))
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_driver_refuses_a_state_of_another_machine_count(monkeypatch, k):
+    """A state that is not one entry per machine is refused before any
+    window is derived, rather than broadcast onto the machines."""
+    rhs = SwingRhsParams(h=[2.0, 3.0], d=[0.0, 0.0], pm=[0.5, 0.5], e=[1.0, 1.0],
+                         y=np.array([[1 - 5j, -1 + 5j], [-1 + 5j, 1 - 5j]]),
+                         omega0=2 * math.pi * 60)
+    monkeypatch.setattr(adm, "_derivation", lambda *args: pytest.fail("derived a window"))
+    with pytest.raises(ValidationError, match="state size does not match machine count"):
+        simulate_sas(rhs, MachineState(np.zeros(k), np.zeros(k)), 1.0,
+                     WindowConfig(t_init=0.1))
+
+
 # ---------------------------------------------------------------------------
 # Trajectory CSV
 
