@@ -254,10 +254,10 @@ def estimate_hmin(inp: RaInputs, target_ra: float) -> float:
     1e-2 s; an H_min above 1e4 s raises NumericalError. Where R_A grows
     with H this is simply the first H whose window reaches the target. The
     fit can land a relative 1e-12 below the boundary of the directly derived
-    window, so the ladder H_min (1 + 1e-12)^k, k = 0..8, is derived in one
-    batch and the first rung that :func:`estimate_ra` would pass is
-    returned; the indicator roots of rungs 2-8 are solved only when rungs
-    0 and 1 both miss. ``target_ra`` must be positive and finite.
+    window, so the first rung of the ladder H_min (1 + 1e-12)^k, k = 0..8,
+    that :func:`estimate_ra` would pass is returned; rungs 0 and 1 are
+    derived and solved as one batch, and rungs 2-8 as a second one only
+    when both miss. ``target_ra`` must be positive and finite.
     """
     if not (target_ra > 0 and math.isfinite(target_ra)):
         raise ValidationError(f"target_ra must be positive and finite, got {target_ra!r}")
@@ -298,12 +298,12 @@ def estimate_hmin(inp: RaInputs, target_ra: float) -> float:
             f"just below {1.0 / u_star:.6g}s miss it")
     h_min = _H_LO if u_star is None else 1.0 / u_star
     ladder = (h_min * (1.0 + 1e-12) ** np.arange(9)).tolist()
-    c1s, c2s = (c.tolist() for c in _third_term([(inp, h) for h in ladder]))
-    # Rungs 0 and 1 almost always pass, so their roots are solved first and
-    # those of rungs 2-8 only when both miss; each rung's roots are its own.
-    for rungs in (slice(2), slice(2, None)):
-        roots = _indicator_roots(c1s[rungs], c2s[rungs], [i_max] * len(ladder[rungs]))
-        for h, (r_a, _) in zip(ladder[rungs], roots):
+    # Rungs 0 and 1 almost always pass, so they are derived and solved first
+    # and rungs 2-8 only when both miss; each rung's figures are its own.
+    for rungs in (ladder[:2], ladder[2:]):
+        c1s, c2s = (c.tolist() for c in _third_term([(inp, h) for h in rungs]))
+        roots = _indicator_roots(c1s, c2s, [i_max] * len(rungs))
+        for h, (r_a, _) in zip(rungs, roots):
             if r_a >= target_ra:
                 return h
     raise NumericalError(

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .adm import MachineState, SwingRhsParams, equilibrium_state
 from .errors import DivergenceError, ValidationError, check_count
@@ -156,7 +155,8 @@ class CompareReport:
 
     Errors are absolute rotor-angle differences, or differences of angles
     relative to ``reference`` (machine position) when one is given. ``b``
-    was resampled onto ``a``'s time grid by cubic interpolation.
+    was resampled onto ``a``'s time grid by cubic Hermite interpolation on
+    its own angles and speeds.
     """
 
     times: np.ndarray
@@ -189,19 +189,28 @@ class CompareReport:
 
 
 def _resample(traj: Trajectory, times: np.ndarray) -> np.ndarray:
-    if times.size == traj.times.size and np.array_equal(times, traj.times):
-        return traj.delta
-    if traj.times.size >= 4:
-        return CubicSpline(traj.times, traj.delta, axis=0)(times)
-    out = np.empty((times.size, traj.k))
-    for i in range(traj.k):
-        out[:, i] = np.interp(times, traj.times, traj.delta[:, i])
-    return out
+    """``traj``'s angles at ``times`` by cubic Hermite interpolation on its
+    own angles and speeds (d delta/dt = omega_dev) at the two samples around
+    each time; a one-sample trajectory is constant."""
+    t, d, w = traj.times, traj.delta, traj.omega_dev
+    if times.size == t.size and np.array_equal(times, t):
+        return d
+    if t.size == 1:
+        return np.repeat(d, times.size, axis=0)
+    i = np.clip(np.searchsorted(t, times, side="right") - 1, 0, t.size - 2)
+    h = (t[i + 1] - t[i])[:, None]
+    s = (times - t[i])[:, None] / h
+    r = 1.0 - s
+    return (r * r * ((1.0 + 2.0 * s) * d[i] + s * h * w[i])
+            + s * s * ((3.0 - 2.0 * s) * d[i + 1] - r * h * w[i + 1]))
 
 
 def compare(a: Trajectory, b: Trajectory,
             reference_machine: int | None = None) -> CompareReport:
-    """Angle-error report of ``b`` against ``a`` over their common time range."""
+    """Angle-error report of ``b`` against ``a`` over their common time range.
+
+    ``b`` is resampled at ``a``'s times by cubic Hermite interpolation on its
+    own angles and speeds; on ``a``'s own grid it is used as it is."""
     if a.k != b.k:
         raise ValidationError(f"machine counts differ ({a.k} vs {b.k})")
     lo = max(a.times[0], b.times[0])

@@ -478,8 +478,8 @@ def test_hmin_equals_the_sequential_search_on_screening_inputs():
 
 def test_hmin_ladder_solves_two_rungs_on_every_seed_1_machine(monkeypatch):
     """On every seed-1 screening machine rung 0 or 1 of the nudge ladder
-    passes, so after its nine-pair derivation the ladder's root solve takes
-    two entries; rungs 2-8 are solved only when both miss."""
+    passes, so the ladder derives two pairs and solves their two roots;
+    rungs 2-8 are derived and solved only when both miss."""
     from test_bench_screening import _workloads
     from sas_transim import netmodel
     wl = _workloads()
@@ -506,7 +506,7 @@ def test_hmin_ladder_solves_two_rungs_on_every_seed_1_machine(monkeypatch):
             calls.clear()
             estimate_hmin(inp, wl.TARGET_RA)
             assert calls[0] == ("derive", 2) and calls[1][0] == "roots", bus
-            assert calls[2:] == [("derive", 9), ("roots", 2)], bus
+            assert calls[2:] == [("derive", 2), ("roots", 2)], bus
             machines += 1
     assert machines == 108
 
